@@ -2,11 +2,12 @@
 
 Runs the traced log-shipping recovery scenario twice with the same seed
 and asserts the durable outcome is **byte-identical**: per-site final
-LSNs, the serialized log metadata and checkpoint blobs, the
-reconstructed copies (value, version, unreadable mark), and the stable
-session state. Any nondeterminism in the journal/replay path — record
-ordering, fuzzy-checkpoint contents, truncation watermarks — shows up
-as a digest mismatch here long before it shows up as a flaky recovery.
+LSNs, the segment directory, the serialized truncation metadata and
+checkpoint blobs, the reconstructed copies (value, version, unreadable
+mark), and the stable session state. Any nondeterminism in the
+journal/replay path — record ordering, fuzzy-checkpoint contents,
+truncation watermarks — shows up as a digest mismatch here long before
+it shows up as a flaky recovery.
 
 Usage::
 
@@ -43,6 +44,7 @@ def site_durable_state(site: typing.Any) -> dict:
         "truncated_through": (
             wal.log.truncated_through_lsn if wal is not None else None
         ),
+        "segments": list(wal.log.segments) if wal is not None else None,
         "meta_blob": site.stable._blobs.get(META_KEY),
         "checkpoint_blob": site.stable._blobs.get(CHECKPOINT_KEY),
         "session_last": site.stable.get("session.last"),

@@ -2,12 +2,13 @@
 
 Layout in the site's :class:`~repro.storage.stable.StableStorage`:
 
-* ``wal.meta`` — log metadata: next LSN, durable LSN, the segment
-  directory, truncation watermarks, and the highest commit sequence
-  number among durable write records;
-* ``wal.seg.<n>`` — one *segment* per group commit: the tuple of
-  records flushed together (every :meth:`flush` is exactly one stable
-  segment write plus the metadata write — the group-commit cost model);
+* ``wal.seg.<first>-<last>`` — one *segment* per group commit: the
+  records with LSNs ``first..last``. Every :meth:`flush` is exactly one
+  stable write (the group-commit cost model), and the key names carry
+  the whole segment directory;
+* ``wal.meta`` — truncation state only (watermarks and truncated
+  commits), written by :meth:`truncate` once per checkpoint and never
+  on the commit path;
 * ``wal.ckpt`` — the last fuzzy checkpoint (written by
   :class:`~repro.wal.wal.SiteWal`, not here).
 
@@ -17,7 +18,8 @@ Invariants:
   ``lsn <= durable_lsn`` (everything above sits in the volatile append
   buffer and is lost by a crash — the owner counts those losses);
 * segments partition the durable LSN range ``(truncated_through,
-  durable_lsn]`` in order;
+  durable_lsn]`` in order, so a restart derives ``durable_lsn`` from
+  the directory;
 * ``truncated_max_commit`` is the highest commit sequence number among
   ever-truncated write records: a catch-up request anchored at or below
   it cannot be served completely from the log and must fall back to
@@ -35,6 +37,25 @@ META_KEY = "wal.meta"
 SEGMENT_PREFIX = "wal.seg."
 CHECKPOINT_KEY = "wal.ckpt"
 
+#: The :class:`RedoLog` attributes persisted in ``wal.meta``.
+_META_FIELDS = (
+    "truncated_through_lsn", "truncated_max_commit", "truncated_records",
+    "truncated_commit_by_item",
+)
+
+
+def _segment_key(first: int, last: int) -> str:
+    return f"{SEGMENT_PREFIX}{first}-{last}"
+
+
+def _write_commits(records: typing.Iterable[LogRecord]) -> list[tuple[str | None, int]]:
+    """``(item, commit)`` of every versioned write record."""
+    return [
+        (record.item, record.version.commit)
+        for record in records
+        if record.kind == "write" and record.version is not None
+    ]
+
 
 class RedoLog:
     """Per-site append-only redo log over a :class:`StableStorage`."""
@@ -44,9 +65,8 @@ class RedoLog:
         self._buffer: list[LogRecord] = []
         self.next_lsn = 1
         self.durable_lsn = 0
-        #: Segment directory: ``(segment_id, first_lsn, last_lsn)``.
-        self.segments: list[tuple[int, int, int]] = []
-        self._next_segment = 1
+        #: Segment directory: ``(first_lsn, last_lsn)`` in LSN order.
+        self.segments: list[tuple[int, int]] = []
         self.truncated_through_lsn = 0
         self.truncated_max_commit = 0
         self.truncated_records = 0
@@ -55,41 +75,29 @@ class RedoLog:
         #: commits of items the *requester* hosts can invalidate a stream.
         self.truncated_commit_by_item: dict[str, int] = {}
         self.high_commit = 0  # max Version.commit among durable+buffered writes
+        self._durable_high_commit = 0  # ... among durable writes only
         self.load_meta()
 
-    # -- metadata persistence -------------------------------------------------
-
     def load_meta(self) -> None:
-        """Re-sync in-memory metadata from stable storage (restart path)."""
-        meta = self.stable.get(META_KEY)
-        if meta is None:
-            return
-        meta = typing.cast(dict, meta)
-        self.next_lsn = meta["next_lsn"]
-        self.durable_lsn = meta["durable_lsn"]
-        self.segments = [tuple(entry) for entry in meta["segments"]]
-        self._next_segment = meta["next_segment"]
-        self.truncated_through_lsn = meta["truncated_through_lsn"]
-        self.truncated_max_commit = meta["truncated_max_commit"]
-        self.truncated_records = meta["truncated_records"]
-        self.truncated_commit_by_item = dict(meta["truncated_commit_by_item"])
-        self.high_commit = meta["high_commit"]
+        """Re-sync in-memory state from stable storage (restart path).
 
-    def _store_meta(self) -> int:
-        return self.stable.put(
-            META_KEY,
-            {
-                "next_lsn": self.next_lsn,
-                "durable_lsn": self.durable_lsn,
-                "segments": [list(entry) for entry in self.segments],
-                "next_segment": self._next_segment,
-                "truncated_through_lsn": self.truncated_through_lsn,
-                "truncated_max_commit": self.truncated_max_commit,
-                "truncated_records": self.truncated_records,
-                "truncated_commit_by_item": dict(self.truncated_commit_by_item),
-                "high_commit": self.high_commit,
-            },
+        Only the high-commit watermark reads segment contents.
+        """
+        meta = self.stable.get(META_KEY)
+        if meta is not None:  # absent until the first truncation
+            for field, value in typing.cast(dict, meta).items():
+                setattr(self, field, value)
+        bounds = (
+            key[len(SEGMENT_PREFIX):].partition("-")
+            for key in self.stable.keys()
+            if key.startswith(SEGMENT_PREFIX)
         )
+        self.segments = sorted((int(first), int(last)) for first, _, last in bounds)
+        last_lsn = self.segments[-1][1] if self.segments else 0
+        self.durable_lsn = max(self.truncated_through_lsn, last_lsn)
+        self.next_lsn = self.durable_lsn + 1
+        commits = [commit for _, commit in _write_commits(self.records_after(0))]
+        self.high_commit = self._durable_high_commit = max([self.truncated_max_commit, *commits])
 
     # -- appending ------------------------------------------------------------
 
@@ -136,36 +144,33 @@ class RedoLog:
         """Group-commit the buffered tail as one segment; returns count."""
         if not self._buffer:
             return 0
-        segment_id = self._next_segment
-        self._next_segment += 1
         records = tuple(self._buffer)
-        self.stable.put(f"{SEGMENT_PREFIX}{segment_id}", records)
-        self.segments.append((segment_id, records[0].lsn, records[-1].lsn))
-        self.durable_lsn = records[-1].lsn
+        first, last = records[0].lsn, records[-1].lsn
+        self.stable.put(_segment_key(first, last), records)
+        self.segments.append((first, last))
+        self.durable_lsn = last
+        self._durable_high_commit = self.high_commit
         self._buffer.clear()
-        self._store_meta()
         return len(records)
 
     def discard_unflushed(self) -> int:
         """Crash path: drop the volatile tail; returns records lost."""
         lost = len(self._buffer)
         self._buffer.clear()
-        # Re-issue the lost LSNs: nothing durable ever carried them.
+        # Re-issue the lost LSNs, and forget the lost commits: nothing
+        # durable ever carried them.
         self.next_lsn = self.durable_lsn + 1
-        if lost:
-            self._store_meta()
+        self.high_commit = self._durable_high_commit
         return lost
 
     # -- reading --------------------------------------------------------------
 
     def records_after(self, lsn: int) -> typing.Iterator[LogRecord]:
         """Durable records with ``record.lsn > lsn``, in LSN order."""
-        for segment_id, _first, last in self.segments:
+        for first, last in self.segments:
             if last <= lsn:
                 continue
-            records = typing.cast(
-                tuple, self.stable.get(f"{SEGMENT_PREFIX}{segment_id}", ())
-            )
+            records = typing.cast(tuple, self.stable.get(_segment_key(first, last), ()))
             for record in records:
                 if record.lsn > lsn:
                     yield record
@@ -177,36 +182,29 @@ class RedoLog:
 
         Returns the number of records dropped. Tracks the highest commit
         sequence number ever truncated so catch-up requests anchored
-        behind it can be refused (they would silently miss updates).
+        behind it can be refused (they would silently miss updates), and
+        persists the truncation state, even when nothing was dropped.
         """
-        if through_lsn <= self.truncated_through_lsn:
-            return 0
         dropped = 0
-        keep: list[tuple[int, int, int]] = []
-        for segment_id, first, last in self.segments:
+        keep: list[tuple[int, int]] = []
+        for first, last in self.segments:
             if last > through_lsn:
-                keep.append((segment_id, first, last))
+                keep.append((first, last))
                 continue
-            records = typing.cast(
-                tuple, self.stable.get(f"{SEGMENT_PREFIX}{segment_id}", ())
-            )
-            for record in records:
-                if record.kind == "write" and record.version is not None:
-                    self.truncated_max_commit = max(
-                        self.truncated_max_commit, record.version.commit
+            key = _segment_key(first, last)
+            records = typing.cast(tuple, self.stable.get(key, ()))
+            for item, commit in _write_commits(records):
+                self.truncated_max_commit = max(self.truncated_max_commit, commit)
+                if item is not None:
+                    self.truncated_commit_by_item[item] = max(
+                        self.truncated_commit_by_item.get(item, 0), commit
                     )
-                    if record.item is not None:
-                        self.truncated_commit_by_item[record.item] = max(
-                            self.truncated_commit_by_item.get(record.item, 0),
-                            record.version.commit,
-                        )
             dropped += len(records)
-            self.stable.delete(f"{SEGMENT_PREFIX}{segment_id}")
-            self.truncated_through_lsn = max(self.truncated_through_lsn, last)
-        if dropped:
-            self.segments = keep
-            self.truncated_records += dropped
-            self._store_meta()
+            self.stable.delete(key)
+            self.truncated_through_lsn = last
+        self.segments = keep
+        self.truncated_records += dropped
+        self.stable.put(META_KEY, {field: getattr(self, field) for field in _META_FIELDS})
         return dropped
 
     @property

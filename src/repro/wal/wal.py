@@ -49,7 +49,7 @@ class WalStats:
     records_appended: int = 0
     flushes: int = 0  # group commits (stable segment writes)
     records_flushed: int = 0
-    bytes_flushed: int = 0  # serialized bytes of segments + metadata
+    bytes_flushed: int = 0  # serialized bytes of flushed segments
     checkpoints: int = 0
     replays: int = 0  # restarts that went through checkpoint + replay
     records_replayed: int = 0
@@ -304,7 +304,7 @@ class SiteWal:
         span = None
         if obs.spans_on:
             span = obs.spans.start("wal.restore", "wal", self.site.site_id)
-        self.log.load_meta()  # stable metadata is the authority after a crash
+        self.log.load_meta()  # the durable log is the authority after a crash
         self._restoring = True
         try:
             copies = self.site.copies

@@ -63,8 +63,8 @@ class TestRedoLog:
             log.append("write", item="X", value=i, version=v(i))
         writes_before = stable.writes
         assert log.flush() == 3
-        # One segment blob + one metadata write: the group-commit cost.
-        assert stable.writes == writes_before + 2
+        # One segment blob and no metadata write: the group-commit cost.
+        assert stable.writes == writes_before + 1
         assert log.durable_lsn == 3
         assert log.buffered == 0
 
@@ -85,6 +85,41 @@ class TestRedoLog:
         assert log.discard_unflushed() == 1
         record = log.append("write", item="X", value=3, version=v(3))
         assert record.lsn == 2  # the lost LSN was never durable
+
+    def test_discard_unflushed_forgets_lost_commits(self):
+        stable = StableStorage()
+        log = RedoLog(stable)
+        log.append("write", item="X", value=1, version=v(1))
+        log.flush()
+        log.append("write", item="X", value=9, version=v(9))
+        assert log.high_commit == 9
+        log.discard_unflushed()
+        # Commit 9 never became durable: nothing may claim it.
+        assert log.high_commit == 1
+        assert RedoLog(stable).high_commit == 1
+
+    def test_flush_writes_no_metadata(self):
+        stable = StableStorage()
+        log = RedoLog(stable)
+        for i in (1, 2):
+            log.append("write", item="X", value=i, version=v(i))
+            log.flush()
+        log.append("write", item="X", value=3, version=v(3))
+        log.discard_unflushed()
+        assert META_KEY not in stable
+        assert sorted(k for k in stable.keys() if k.startswith(SEGMENT_PREFIX)) == [
+            f"{SEGMENT_PREFIX}1-1", f"{SEGMENT_PREFIX}2-2",
+        ]
+
+    def test_truncate_persists_meta_even_when_nothing_dropped(self):
+        stable = StableStorage()
+        log = RedoLog(stable)
+        log.append("write", item="X", value=1, version=v(1))
+        log.flush()
+        writes_before = stable.writes
+        assert log.truncate(0) == 0
+        assert stable.writes == writes_before + 1
+        assert stable.get(META_KEY)["truncated_through_lsn"] == 0
 
     def test_truncate_drops_whole_segments_and_tracks_commits(self):
         stable = StableStorage()
@@ -221,6 +256,23 @@ class TestSiteWal:
         site.power_on()
         assert site.wal.stats.replays == 1
         assert site.copies.get("X").value == 2
+
+    def test_checkpoint_high_commit_excludes_lost_commit(self):
+        site = make_site()
+        site.copies.create("X", 0)
+        site.copies.apply_write("X", 1, v(1))
+        site.wal.on_commit()
+        site.wal.checkpoint()
+        site.power_on()
+        site.become_operational()
+        site.copies.apply_write("X", 9, v(9))  # never flushed
+        site.crash()
+        site.power_on()
+        assert site.copies.get("X").version == v(1)
+        assert site.wal.restore_high_commit == 1
+        site.wal.checkpoint()
+        # The log-ship anchor must not claim the commit the crash lost.
+        assert site.stable.get(CHECKPOINT_KEY)["high_commit"] == 1
 
     def test_disabled_wal(self):
         site = make_site(WalConfig(enabled=False))
