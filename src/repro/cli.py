@@ -399,10 +399,6 @@ def run_bench(args: argparse.Namespace) -> int:
     if profiler_overhead is not None:
         print(f"profiler_overhead: {profiler_overhead:.1%}")
         metrics["profiler_overhead_pct"] = profiler_overhead * 100
-    sanitize_overhead = bench.sanitize_overhead_fraction(metrics)
-    if sanitize_overhead is not None:
-        print(f"sanitize_off_overhead: {sanitize_overhead:.1%}")
-        metrics["sanitize_off_overhead_pct"] = sanitize_overhead * 100
 
     exit_code = 0
     if args.check:
@@ -439,10 +435,6 @@ def run_bench(args: argparse.Namespace) -> int:
             exit_code = 1
         if profiler_overhead is not None and profiler_overhead > args.max_overhead:
             print(f"profiler overhead {profiler_overhead:.1%} exceeds "
-                  f"--max-overhead {args.max_overhead:.0%}  << REGRESSION")
-            exit_code = 1
-        if sanitize_overhead is not None and sanitize_overhead > args.max_overhead:
-            print(f"sanitizer-off overhead {sanitize_overhead:.1%} exceeds "
                   f"--max-overhead {args.max_overhead:.0%}  << REGRESSION")
             exit_code = 1
     if not args.no_append:

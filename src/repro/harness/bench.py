@@ -180,11 +180,10 @@ def bench_kernel_events_sampled(n: int = 10_000, repeats: int = 10) -> float:
 def bench_kernel_events_profiled(n: int = 10_000, repeats: int = 10) -> float:
     """The kernel-events workload with the host-CPU profiler attached.
 
-    The profiled twin of :func:`bench_kernel_events`: the drain loop
-    runs through ``Kernel._run_profiled``, reading the host clock at
-    *run boundaries* (signature changes) rather than per event. The gap
-    against the plain number is the ``profiler_overhead`` that
-    ``--check`` bounds under the same <5% gate as the rest of the
+    The profiled twin of :func:`bench_kernel_events`: the kernel's
+    drain loop reads the host clock at *run boundaries* (signature
+    changes) rather than per event. The gap against the plain number
+    is the ``profiler_overhead`` that ``--check`` bounds under the same <5% gate as the rest of the
     observability layer — it guards the run-length batching that makes
     ``repro profile`` affordable (a naive per-event clock read costs
     ~16% on this workload).
@@ -201,45 +200,12 @@ def bench_kernel_events_profiled(n: int = 10_000, repeats: int = 10) -> float:
         assert profiler.total_events == kernel.events_processed
         return kernel.events_processed
 
-    # One discarded warmup run (see bench_txn_wall): the profiled loop
-    # is separate bytecode from the plain one and pays the adaptive
-    # interpreter's specialization cost on its first execution —
-    # measured at ~10% on a cold first run vs ~2% warm, enough to
-    # randomly trip the overhead gate.
+    # One discarded warmup run (see bench_txn_wall): the profiler's
+    # branch of the drain loop pays the adaptive interpreter's
+    # specialization cost on its first execution — measured at ~10% on
+    # a cold first run vs ~2% warm, enough to randomly trip the
+    # overhead gate.
     run()
-    return _best_of(run, repeats)
-
-
-def bench_kernel_events_sanitize_off(n: int = 10_000, repeats: int = 10) -> float:
-    """The kernel-events workload after attach/detach of the sanitizer.
-
-    The schedsan twin of :func:`bench_kernel_events_obs_off`: a
-    tie-break policy and a happens-before race detector are attached
-    and then *detached* before the drain, so the loop must fall back to
-    the plain inlined path in :meth:`Kernel.run`. The sanitized loop is
-    a diagnostic mode — on this tie-heavy workload (batches of ~100
-    same-instant timeouts) its per-event batch collection costs ~40x,
-    so it must never engage by default. The gap against
-    :func:`bench_kernel_events` is the ``sanitize_overhead`` that
-    ``--check`` bounds under the same <5% gate: it guards that "off
-    means off" — detaching restores the byte-identical dispatch path
-    and no residual hook survives on the hot loop.
-    """
-    from repro.sanitize.hb import attach_detector, detach_detector
-    from repro.sanitize.policy import ScheduleSpec, attach_policy
-
-    def run() -> int:
-        kernel = Kernel(seed=0)
-        attach_policy(kernel, ScheduleSpec(mode="canonical"))
-        attach_detector(kernel)
-        detach_detector(kernel)
-        kernel.set_tiebreak(None)
-        for index in range(n):
-            kernel.timeout(index % 97)
-        kernel.run()
-        assert kernel._tiebreak is None and kernel._sanitize is None
-        return kernel.events_processed
-
     return _best_of(run, repeats)
 
 
@@ -596,9 +562,8 @@ def profiler_overhead_fraction(metrics: dict) -> float | None:
     """Host-CPU-profiler overhead on the kernel-events bench.
 
     ``1 - profiled/plain``: the fraction of kernel event throughput
-    lost to running the drain loop through ``Kernel._run_profiled``
-    with its run-length-batched clock reads — the cost of
-    ``repro profile``'s attribution view when it is switched on.
+    lost to the drain loop's run-length-batched profiler clock reads —
+    the cost of ``repro profile``'s attribution view when it is on.
     Clamped at 0; ``None`` when either metric is missing.
     """
     plain = metrics.get("kernel_events_per_s")
@@ -606,23 +571,6 @@ def profiler_overhead_fraction(metrics: dict) -> float | None:
     if not plain or not profiled:
         return None
     return max(0.0, 1.0 - profiled / plain)
-
-
-def sanitize_overhead_fraction(metrics: dict) -> float | None:
-    """Sanitizer-off overhead on the kernel-events bench.
-
-    ``1 - sanitize_off/plain``: the fraction of kernel event throughput
-    lost after a schedule sanitizer has been attached and detached —
-    which must be nothing, since the default (off) path is required to
-    be byte-identical to the unperturbed kernel. A breach means a
-    residual policy/detector or a hook left on the hot loop. Clamped at
-    0; ``None`` when either metric is missing.
-    """
-    plain = metrics.get("kernel_events_per_s")
-    sanitize_off = metrics.get("kernel_events_sanitize_off_per_s")
-    if not plain or not sanitize_off:
-        return None
-    return max(0.0, 1.0 - sanitize_off / plain)
 
 
 def profile_shares(quick: bool = False) -> dict:
@@ -722,9 +670,6 @@ def run_suite(quick: bool = False, snapshots: dict | None = None) -> dict:
             "kernel_events_profiled_per_s": bench_kernel_events_profiled(
                 n=4_000, repeats=3
             ),
-            "kernel_events_sanitize_off_per_s": bench_kernel_events_sanitize_off(
-                n=4_000, repeats=3
-            ),
             "timeout_churn_per_s": bench_timeout_churn(n=4_000, repeats=3),
             "copier_refresh_per_s": bench_copier_refresh(
                 n_items=8, repeats=1, snapshots=snapshots
@@ -740,7 +685,6 @@ def run_suite(quick: bool = False, snapshots: dict | None = None) -> dict:
         "kernel_events_obs_off_per_s": bench_kernel_events_obs_off(),
         "kernel_events_sampled_per_s": bench_kernel_events_sampled(),
         "kernel_events_profiled_per_s": bench_kernel_events_profiled(),
-        "kernel_events_sanitize_off_per_s": bench_kernel_events_sanitize_off(),
         "timeout_churn_per_s": bench_timeout_churn(),
         "copier_refresh_per_s": bench_copier_refresh(snapshots=snapshots),
         "copier_refresh_audited_per_s": bench_copier_refresh(audit=True),

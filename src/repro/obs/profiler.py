@@ -11,10 +11,10 @@ at *run boundaries*: a run is a maximal stretch of consecutive events
 sharing one dispatch signature (a Future's waiter-list identity, a
 Callback's function). The common storms — thousands of bare timeouts,
 one process resumed again and again — therefore cost two clock reads
-total rather than two per event, which is what keeps the profiled twin
-bench under the <5% ``--max-overhead`` gate. Charging whole runs keeps
-the headline invariant exact: the per-subsystem exclusive ``cpu_s``
-sum to the wall time spent inside the dispatch loop.
+total rather than two per event, which is what keeps the profiled
+kernel-events bench under the <5% ``--max-overhead`` gate. Charging
+whole runs keeps the headline invariant exact: the per-subsystem
+exclusive ``cpu_s`` sum to the wall time spent inside the dispatch loop.
 
 Each run is attributed to a *subsystem label* derived from the owning
 module of the code the events dispatch into: a resumed process is
@@ -111,8 +111,8 @@ class HostProfiler:
     """Attributes the kernel dispatch loop's host CPU to subsystems.
 
     Attach with :meth:`attach` (or ``build_traced_scheme(...,
-    profile=True)`` / ``repro profile``); the kernel then routes its
-    drain loop through the profiled path, calling :meth:`charge` once
+    profile=True)`` / ``repro profile``); the kernel's drain loop then
+    reads :attr:`clock` at run boundaries and calls :meth:`charge` once
     per signature run. All bookkeeping here is O(1) per *run*, not per
     event — the resolve caches make repeat signatures a dict hit.
     """
@@ -125,7 +125,7 @@ class HostProfiler:
         self.cpu_s: dict[str, float] = {}
         #: Events dispatched per subsystem label.
         self.events: dict[str, int] = {}
-        #: Wall time spent inside the profiled dispatch loop(s),
+        #: Wall time spent inside the kernel's drain loop while attached,
         #: accumulated by the kernel with the same clock reads that
         #: bound the charges — so ``sum(cpu_s.values())`` equals this
         #: up to float rounding.
@@ -137,14 +137,15 @@ class HostProfiler:
     # -- kernel wiring --------------------------------------------------------
 
     def attach(self, kernel: "Kernel") -> None:
-        """Route ``kernel``'s dispatch through the profiled loop."""
+        """Have ``kernel``'s drain loop report its dispatches here."""
         kernel._prof = self
         self._kernel = kernel
 
     def detach(self) -> None:
-        """Restore the kernel's unprofiled dispatch loop."""
+        """Stop profiling; a profiler attached since keeps its slot."""
         if self._kernel is not None:
-            self._kernel._prof = None
+            if self._kernel._prof is self:
+                self._kernel._prof = None
             self._kernel = None
 
     # -- accumulation ---------------------------------------------------------

@@ -317,7 +317,9 @@ def attach_detector(kernel: "Kernel") -> RaceDetector:
 
 
 def detach_detector(kernel: "Kernel | None" = None) -> None:
-    """Tear the global seam down (and the kernel's, when given)."""
+    """Tear the global seam down, and ``kernel``'s slot when it holds
+    the same detector (a sanitizer attached there since keeps it)."""
+    detector = hooks.ACTIVE
     hooks.clear()
-    if kernel is not None:
+    if kernel is not None and kernel._sanitize is detector:
         kernel.set_sanitizer(None)

@@ -6,7 +6,7 @@ import heapq
 import typing
 
 from repro.errors import SimError, UnhandledFailure
-from repro.sim.events import F_CANCELLED, Future, Timeout
+from repro.sim.events import F_CANCELLED, F_PROCESSED, Future, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 
@@ -28,12 +28,10 @@ class Callback:
 
     __slots__ = ("fn", "args", "_flags")
 
-    #: Class-level sentinel: the profiled drain loop reads
-    #: ``entry._callbacks`` on every heap entry with a single attribute
-    #: load to form the run signature. ``None`` here means "a Callback —
-    #: use ``entry.fn`` instead" (a Future's ``_callbacks`` is never
-    #: ``None`` while it sits in the heap; ``_process`` only clears it
-    #: after the entry is popped).
+    #: Class-level sentinel: with a profiler attached the drain loop
+    #: reads ``entry._callbacks`` to form the run signature. ``None``
+    #: here means "a Callback — use ``entry.fn`` instead" (a Future's
+    #: ``_callbacks`` is never ``None`` while it sits in the heap).
     _callbacks: typing.Any = None
 
     def __init__(
@@ -60,6 +58,21 @@ class Callback:
         return f"<Callback {getattr(self.fn, '__name__', self.fn)!r} {state}>"
 
 
+#: A heap entry: ``(time, insertion seq, event)``, ordered by time then seq.
+_Entry = tuple[float, int, Future | Callback]
+
+
+class _Processed:
+    """The drain stop of :meth:`Kernel.step`: born processed, so the
+    loop stops after its first live event."""
+
+    __slots__ = ()
+    _flags = F_PROCESSED
+
+
+_ONE_EVENT = _Processed()
+
+
 class Kernel:
     """A deterministic discrete-event scheduler.
 
@@ -81,24 +94,24 @@ class Kernel:
 
     def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int, Future | Callback]] = []
+        self._heap: list[_Entry] = []
         self._seq = 0
         self.rng = RngRegistry(seed)
         self._unhandled: list[Future] = []
-        #: Count of entries processed by :meth:`step` (skipped cancelled
-        #: entries excluded); the events/sec basis of the perf trajectory.
+        #: Count of entries dispatched by the drain loop (skipped
+        #: cancelled entries excluded); the events/sec basis of the perf
+        #: trajectory.
         self.events_processed = 0
         #: The attached host-CPU profiler
         #: (:class:`repro.obs.profiler.HostProfiler`), or None. When set,
-        #: :meth:`run`/:meth:`step` dispatch through the profiled path,
-        #: reading the profiler's host clock at run boundaries — the
-        #: kernel itself never imports a wall clock (REP001).
+        #: the drain loop reads the profiler's host clock at run
+        #: boundaries — the kernel itself never imports a wall clock
+        #: (REP001).
         self._prof: typing.Any = None
         #: Attached tie-break policy
         #: (:class:`repro.sanitize.policy.TieBreakPolicy`), or None. When
         #: set, same-timestamp heap batches are resolved by the policy
-        #: instead of insertion order; the default ``None`` path is
-        #: byte-identical to the unperturbed kernel.
+        #: instead of insertion order.
         self._tiebreak: typing.Any = None
         #: Attached schedule sanitizer
         #: (:class:`repro.sanitize.hb.RaceDetector`), or None. When set,
@@ -206,37 +219,9 @@ class Kernel:
         advancing the clock; if only cancelled entries remained, the call
         returns having processed nothing.
         """
-        if self._tiebreak is not None or self._sanitize is not None:
-            self._step_sanitized()
-            return
-        heap = self._heap
-        if not heap:
+        if not self._heap:
             raise SimError("step() on an empty event queue")
-        pop = heapq.heappop
-        while True:
-            when, _seq, entry = pop(heap)
-            if not entry._flags & F_CANCELLED:
-                break
-            if not heap:
-                return  # drained nothing but dead timers
-        self._now = when
-        self.events_processed += 1
-        prof = self._prof
-        if prof is None:
-            entry._process()
-        else:
-            sig = entry._callbacks
-            if sig is None:
-                sig = entry.fn  # type: ignore[union-attr]
-            start = prof.clock()
-            try:
-                entry._process()
-            finally:
-                elapsed = prof.clock() - start
-                prof.charge(sig, entry, elapsed, 1)
-                prof.dispatch_wall_s += elapsed
-        if self._unhandled:
-            self._raise_unhandled()
+        self._drain(None, _ONE_EVENT)
 
     def run(self, until: float | Future | None = None) -> object:
         """Run the event loop.
@@ -250,206 +235,118 @@ class Kernel:
           (or raising its exception).
         """
         if isinstance(until, Future):
-            return self._run_until_event(until)
-        if self._tiebreak is not None or self._sanitize is not None:
-            # Sanitized runs take precedence over profiling: the two
-            # drain loops do not compose, and perturbed schedules would
-            # skew host-CPU attribution anyway.
-            return self._run_sanitized(until)
-        if self._prof is not None:
-            return self._run_profiled(until)
-        # Inlined drain loop: this is the innermost loop of every
-        # simulation, so the per-event cost of calling step() (attribute
-        # lookups, the empty-heap recheck) is paid millions of times.
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            if until is not None and heap[0][0] > until:
-                break
-            when, _seq, entry = pop(heap)
-            if entry._flags & F_CANCELLED:
-                continue
-            self._now = when
-            self.events_processed += 1
-            entry._process()
-            if self._unhandled:
-                self._raise_unhandled()
+            # The caller observes success/failure through ``until.value``
+            # below, so a failure of the target is not "unhandled".
+            until.defuse()
+            if not until.processed:
+                self._drain(None, until)
+            if not until.processed:
+                raise SimError(f"event queue exhausted before {until!r} was processed")
+            return until.value
+        self._drain(until, None)
         if until is not None and self._now < until:
             self._now = float(until)
         return None
 
-    def _run_profiled(self, until: float | None) -> object:
-        """The drain loop with a host-CPU profiler attached.
+    def _drain(self, until: float | None, stop: Future | _Processed | None) -> None:
+        """The one drain loop behind :meth:`run` and :meth:`step`.
 
-        Identical event semantics to :meth:`run`; the additions are
-        host-clock reads at *run boundaries*. A run is a maximal
-        stretch of consecutive events sharing one dispatch signature —
-        ``entry._callbacks`` (the waiter-list identity of a Future;
-        the class sentinel redirects a Callback to its ``fn``) — so a
-        storm of bare timeouts or repeated resumes of one process costs
-        two clock reads total, not two per event. That batching is what
-        keeps the profiled bench twin under the <5% overhead gate, and
-        because charges tile the loop's wall time exactly (each
-        boundary's clock read both closes one run and opens the next),
-        the per-subsystem ``cpu_s`` sum to ``dispatch_wall_s`` up to
-        float rounding.
+        Dispatches live entries until the heap is empty, the next entry
+        lies past ``until``, or ``stop`` has been processed. Each
+        instrument is picked up once per drain and tested inline, so
+        any combination composes:
+
+        * the tie-break policy is the pop function (:meth:`_pop_tie`);
+        * the profiler reads its host clock at *run boundaries*: a run
+          is a maximal stretch of consecutive events sharing one
+          dispatch signature (a Future's waiter list, a Callback's
+          ``fn``), so a storm of bare timeouts costs two clock reads in
+          total. Each boundary read closes one run and opens the next,
+          so the charges tile ``dispatch_wall_s`` exactly;
+        * the race detector brackets every dispatch.
         """
-        prof = self._prof
         heap = self._heap
-        pop = heapq.heappop
-        clock = prof.clock
-        charge = prof.charge
+        pop: typing.Callable[[list[_Entry]], _Entry] = (
+            heapq.heappop if self._tiebreak is None else self._pop_tie
+        )
+        san = self._sanitize
+        prof = self._prof
         cur_sig: typing.Any = None
         cur_entry: typing.Any = None
-        run_start = self.events_processed
-        loop_start = prev = clock()
+        if prof is not None:
+            clock = prof.clock
+            run_start = self.events_processed
+            loop_start = prev = clock()
         try:
             while heap:
                 if until is not None and heap[0][0] > until:
                     break
-                when, _seq, entry = pop(heap)
+                when, seq, entry = pop(heap)
                 if entry._flags & F_CANCELLED:
                     continue
-                sig = entry._callbacks
-                if sig is None:
-                    sig = entry.fn  # type: ignore[union-attr]
-                if sig is not cur_sig:
-                    if cur_entry is None:
-                        # First live event: open the run without a clock
-                        # read so the pre-loop sliver lands in it and
-                        # the charges still tile the whole loop.
+                if prof is not None:
+                    sig = entry._callbacks
+                    if sig is None:
+                        sig = entry.fn  # type: ignore[union-attr]
+                    if sig is not cur_sig:
+                        if cur_entry is not None:
+                            now = clock()
+                            prof.charge(cur_sig, cur_entry, now - prev,
+                                        self.events_processed - run_start)
+                            prev = now
+                            run_start = self.events_processed
+                        # The first live event opens its run without a
+                        # clock read, so the pre-loop sliver lands in it.
                         cur_sig = sig
                         cur_entry = entry
-                    else:
-                        now = clock()
-                        charge(cur_sig, cur_entry, now - prev,
-                               self.events_processed - run_start)
-                        prev = now
-                        cur_sig = sig
-                        cur_entry = entry
-                        run_start = self.events_processed
                 self._now = when
                 self.events_processed += 1
-                entry._process()
+                if san is None:
+                    entry._process()
+                else:
+                    san.begin_dispatch(seq)
+                    try:
+                        entry._process()
+                    finally:
+                        san.end_dispatch()
                 if self._unhandled:
                     self._raise_unhandled()
+                if stop is not None and stop._flags & F_PROCESSED:
+                    break
         finally:
-            now = clock()
-            if cur_entry is not None:
-                charge(cur_sig, cur_entry, now - prev,
-                       self.events_processed - run_start)
-            else:
-                # No live events: the loop still cost a sliver of wall
-                # time; book it against the kernel so the charges keep
-                # summing to dispatch_wall_s exactly.
-                charge(None, None, now - prev, 0)
-            prof.dispatch_wall_s += now - loop_start
-        if until is not None and self._now < until:
-            self._now = float(until)
-        return None
+            if prof is not None:
+                now = clock()
+                # With no live event the sliver is booked to the kernel
+                # (``None`` signature) so the charges still tile the loop.
+                prof.charge(cur_sig, cur_entry, now - prev,
+                            self.events_processed - run_start)
+                prof.dispatch_wall_s += now - loop_start
 
-    def _pop_perturbed(
-        self, until: float | None = None
-    ) -> tuple[float, int, "Future | Callback"] | None:
-        """Pop the next live entry, honoring the tie-break policy.
+    def _pop_tie(self, heap: list[_Entry]) -> _Entry:
+        """``heapq.heappop`` with same-instant ties settled by the policy.
 
-        Returns ``(when, seq, entry)``, or ``None`` when the heap is
-        drained (or holds only events past ``until``). The ``until``
-        bound is re-checked here — not just by the caller — because the
-        canonical drain loop re-checks ``heap[0]`` before every pop and
-        this path must never process events the canonical one would not.
-
-        Only entries *simultaneously live at the same instant* form a
-        batch: the first live pop anchors the timestamp, every further
-        live entry at that exact time joins, and the policy picks one.
-        The rest go back under their original ``(time, seq)`` keys, so a
-        canonical (index-0) choice reproduces FIFO order exactly.
+        A cancelled head is returned as is, for the drain loop to skip.
+        A live head anchors its instant: every further live entry at
+        that exact time joins the batch, the policy picks one, and the
+        rest go back under their original ``(time, seq)`` keys, so an
+        index-0 choice reproduces FIFO order exactly.
         """
-        heap = self._heap
         pop = heapq.heappop
-        while True:
-            if not heap or (until is not None and heap[0][0] > until):
-                return None
-            when, seq, entry = pop(heap)
-            if not entry._flags & F_CANCELLED:
-                break
-        policy = self._tiebreak
-        if policy is None or not heap or heap[0][0] != when:
-            return when, seq, entry
-        batch = [(seq, entry)]
+        head = pop(heap)
+        when = head[0]
+        if head[2]._flags & F_CANCELLED or not heap or heap[0][0] != when:
+            return head
+        batch = [head]
         while heap and heap[0][0] == when:
-            _when2, seq2, entry2 = pop(heap)
-            if not entry2._flags & F_CANCELLED:
-                batch.append((seq2, entry2))
+            item = pop(heap)
+            if not item[2]._flags & F_CANCELLED:
+                batch.append(item)
         if len(batch) == 1:
-            return when, seq, entry
-        index = policy.choose(len(batch))
-        chosen_seq, chosen = batch.pop(index)
-        push = heapq.heappush
-        for seq2, entry2 in batch:
-            push(heap, (when, seq2, entry2))
-        return when, chosen_seq, chosen
-
-    def _step_sanitized(self) -> None:
-        """One :meth:`step` with the tie-break policy / sanitizer engaged."""
-        if not self._heap:
-            raise SimError("step() on an empty event queue")
-        popped = self._pop_perturbed()
-        if popped is None:
-            return  # drained nothing but dead timers
-        when, seq, entry = popped
-        self._now = when
-        self.events_processed += 1
-        san = self._sanitize
-        if san is None:
-            entry._process()
-        else:
-            san.begin_dispatch(seq)
-            try:
-                entry._process()
-            finally:
-                san.end_dispatch()
-        if self._unhandled:
-            self._raise_unhandled()
-
-    def _run_sanitized(self, until: float | None) -> object:
-        """The drain loop with the tie-break policy / sanitizer engaged.
-
-        Same event semantics as :meth:`run` modulo the policy's choice
-        among same-instant ties; not speed-tuned — sanitized runs are a
-        diagnostic mode, never the measured path.
-        """
-        san = self._sanitize
-        while True:
-            popped = self._pop_perturbed(until)
-            if popped is None:
-                break
-            when, seq, entry = popped
-            self._now = when
-            self.events_processed += 1
-            if san is None:
-                entry._process()
-            else:
-                san.begin_dispatch(seq)
-                try:
-                    entry._process()
-                finally:
-                    san.end_dispatch()
-            if self._unhandled:
-                self._raise_unhandled()
-        if until is not None and self._now < until:
-            self._now = float(until)
-        return None
-
-    def _run_until_event(self, until: Future) -> object:
-        # The caller observes success/failure through ``until.value`` below,
-        # so a failure of the target is not "unhandled".
-        until.defuse()
-        while not until.processed:
-            if not self._heap:
-                raise SimError(f"event queue exhausted before {until!r} was processed")
-            self.step()
-        return until.value
+            return head
+        chosen = batch.pop(self._tiebreak.choose(len(batch)))
+        for item in batch:
+            heapq.heappush(heap, item)
+        return chosen
 
     def _report_unhandled(self, event: Future) -> None:
         self._unhandled.append(event)

@@ -80,6 +80,17 @@ class TestHostProfiler:
         _drain_timeouts(kernel, n=5)
         assert profiler.total_events == 5  # nothing after detach
 
+    def test_stale_detach_keeps_newer_profiler(self):
+        kernel = Kernel(seed=0)
+        first, second = HostProfiler(), HostProfiler()
+        first.attach(kernel)
+        second.attach(kernel)
+        first.detach()
+        assert kernel._prof is second
+        _drain_timeouts(kernel, n=10)
+        assert second.total_events == 10
+        assert first.total_events == 0
+
     def test_process_resume_labelled_by_generator_file(self):
         kernel = Kernel(seed=0)
         profiler = HostProfiler()

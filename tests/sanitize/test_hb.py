@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sanitize import hooks
-from repro.sanitize.hb import attach_detector, clock_leq, detach_detector
+from repro.sanitize.hb import RaceDetector, attach_detector, clock_leq, detach_detector
 from repro.sim.kernel import Kernel
 
 
@@ -203,6 +203,15 @@ class TestSeams:
         detach_detector(kernel)
         assert hooks.ACTIVE is None
         assert kernel._sanitize is None
+
+    def test_detach_keeps_a_sanitizer_attached_since(self):
+        kernel = Kernel(seed=0)
+        attach_detector(kernel)
+        newer = RaceDetector(kernel)
+        kernel.set_sanitizer(newer)
+        detach_detector(kernel)
+        assert hooks.ACTIVE is None
+        assert kernel._sanitize is newer
 
     def test_summary_and_render(self, detector):
         kernel, det = detector
