@@ -3,10 +3,22 @@
 These measure the *simulator's* throughput, not the protocol: how many
 virtual events, lock operations, RPC round trips, and checker runs a
 second of wall time buys. Useful for sizing experiments and for
-catching performance regressions in the kernel.
+catching performance regressions in the kernel. Wall-clock numbers
+compare only on one machine::
+
+    pytest benchmarks/test_microbench.py --benchmark-autosave
+    pytest benchmarks/test_microbench.py --benchmark-compare \
+        --benchmark-compare-fail=min:30%
+
+The commit-mode pair is measured in simulated time instead, so it is an
+exact assertion that holds on any machine.
 """
 
+import pytest
+
 from repro.baselines import StrictROWA
+from repro.harness.metrics import percentile
+from repro.harness.runner import closed_loop_rmw
 from repro.histories import HistoryRecorder, check_one_sr
 from repro.net import ConstantLatency, Network, RpcNode
 from repro.sim import Kernel
@@ -81,8 +93,15 @@ def test_timeout_cancellation_churn(benchmark):
     assert benchmark(run) == 1000
 
 
-def test_copier_refresh_throughput(benchmark):
-    """Crash a site, miss 16 updates, recover, drain the copiers."""
+@pytest.mark.parametrize("audit", [False, True], ids=["plain", "audited"])
+def test_copier_refresh_throughput(benchmark, audit):
+    """Crash a site, miss 16 updates, recover, drain the copiers.
+
+    ``audited`` runs the same recovery under the online protocol
+    auditor: the gap between the two is the price of live invariant
+    checking.
+    """
+    from repro.audit import attach_auditor
     from repro.baselines import build_rowaa_system
 
     n_items = 16
@@ -99,6 +118,8 @@ def test_copier_refresh_throughput(benchmark):
             kernel, 3, {f"X{i}": 0 for i in range(n_items)},
             latency=ConstantLatency(1.0), config=TxnConfig(),
         )
+        if audit:
+            attach_auditor(system)
         system.crash(3)
         kernel.run(until=kernel.now + 40)
         for index in range(n_items):
@@ -156,31 +177,64 @@ def test_rpc_roundtrip_throughput(benchmark):
 
 def test_transaction_throughput_3sites(benchmark):
     """200 sequential replicated read-modify-write transactions."""
+    system, _ = benchmark(closed_loop_rmw, 200, n_clients=1)
+    assert system.copy_value(1, "X0") == 200
+
+
+@pytest.mark.parametrize("n_txns", [60, 200])
+def test_async_quorum_triples_sync_2pc_throughput(n_txns):
+    """Sync 2PC acks after three round trips (write, prepare, commit: 6
+    units at unit latency); async quorum pipelines the prepare into the
+    write and acks once a majority is prepared (2 units). README's
+    commit-mode comparison rests on this."""
+
+    def run(commit_mode):
+        system, elapsed = closed_loop_rmw(n_txns, commit_mode)
+        acks = [ack for tm in system.tms.values() for ack in tm.stats.ack_latencies]
+        return n_txns / elapsed, percentile(acks, 50), percentile(acks, 99)
+
+    sync, fast = run("sync_2pc"), run("async_quorum")
+    assert sync == pytest.approx((2 / 3, 6.0, 6.0))
+    assert fast == (2.0, 2.0, 2.0)
+    assert fast[0] / sync[0] == pytest.approx(3.0)
+
+
+def test_snapshot_read_service_rate(benchmark):
+    """300 read-only transactions of 8 snapshot reads each at one site.
+
+    The whole path is lock-free and local, so it measures the per-read
+    cost of the version chains. Local serves do not advance the clock,
+    so only wall time can measure it.
+    """
+    names = tuple(f"X{i}" for i in range(8))
 
     def run():
         kernel = Kernel(seed=0)
         system = DatabaseSystem(
-            kernel, 3, {"X": 0},
+            kernel, 3, dict.fromkeys(names, 0),
             strategy_factory=lambda _s: StrictROWA(),
-            latency=ConstantLatency(1.0),
-            config=TxnConfig(),
+            latency=ConstantLatency(1.0), config=TxnConfig(),
         )
         system.boot()
 
-        def increment(ctx):
-            value = yield from ctx.read("X")
-            yield from ctx.write("X", value + 1)
+        def write_all(ctx):
+            for item in names:
+                yield from ctx.write(item, 1)
 
-        def driver():
-            for _ in range(200):
-                yield from system.tms[1].run(increment)
-            return system.copy_value(1, "X")
+        kernel.run(system.submit(1, write_all))
 
-        result = kernel.run(kernel.process(driver()))
+        def ro_program(ctx):
+            return (yield from ctx.read_many(names))
+
+        def ro_loop():
+            for _ in range(300):
+                yield from system.tms[1].run_ro(ro_program)
+
+        kernel.run(kernel.process(ro_loop()))
         system.stop()
-        return result
+        return system.mvcc[1].stats.ro_served
 
-    assert benchmark(run) == 200
+    assert benchmark(run) >= 300 * len(names)
 
 
 def test_one_sr_checker_throughput(benchmark):

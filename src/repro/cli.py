@@ -5,7 +5,6 @@ Usage::
     python -m repro list
     python -m repro e1 [--seed 3] [--scale small|full] [--jobs 4]
     python -m repro all --scale small --jobs 4 --bench-out BENCH_grid.json
-    python -m repro bench [--quick] [--check]
     python -m repro trace --experiment e2 --out trace.json [--jsonl spans.jsonl]
     python -m repro metrics --experiment e2 [--out metrics.json]
     python -m repro audit --experiment e2 [--out alerts.jsonl]
@@ -19,11 +18,7 @@ Each experiment prints the table documented in EXPERIMENTS.md; ``small``
 scale finishes in a few seconds per experiment, ``full`` matches the
 recorded tables. ``--jobs N`` fans the (scheme × seed × config) cell
 grid across a process pool — results are identical to a serial run
-(cells are pure functions of their arguments). ``bench`` runs the
-microbenchmark suite and appends to the perf trajectory
-(``BENCH_kernel.json``); ``bench --check`` additionally fails when
-kernel event throughput regressed more than 30% against the last
-committed entry.
+(cells are pure functions of their arguments).
 
 ``trace`` and ``metrics`` run one small traced scenario of an experiment
 (spans + timeline on; see :mod:`repro.obs.scenarios`) and export the
@@ -50,8 +45,8 @@ wal/copier/mvcc/audit/obs/workload), printed as a table whose rows sum
 to the dispatch wall time. ``--folded``/``--speedscope`` export the
 *sim-time* flamegraph collapsed from the span tree; ``--sample`` adds
 ``sys.setprofile`` host folded stacks; ``--out`` saves everything as
-JSON. The profiler's own overhead is gated by ``bench --check``
-(``kernel_events_profiled_per_s`` under ``--max-overhead``).
+JSON. The profiler's own cost is pinned by exact bytecode and
+clock-read counts in the tier-1 tests (``tests/obs/test_profiler.py``).
 
 ``audit`` runs the same traced scenario under the online protocol
 auditor (:mod:`repro.audit`): live 1-STG cycle detection, session
@@ -183,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        help="experiment id (e1..e11), 'all', 'list', 'bench', 'trace', "
+        help="experiment id (e1..e11), 'all', 'list', 'trace', "
         "'metrics', 'audit', 'latency', 'profile', 'schedfuzz', or 'lint'",
     )
     parser.add_argument("--seed", type=int, default=3, help="master seed")
@@ -199,40 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--bench-out", default=None, metavar="PATH",
         help="append per-cell wall times to this grid trajectory file",
     )
-    # bench-only options (ignored by the experiment subcommands).
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="bench: smaller iteration counts (CI smoke mode)",
-    )
-    parser.add_argument(
-        "--label", default="dev", help="bench: label for the trajectory entry"
-    )
-    parser.add_argument(
-        "--trajectory", default="BENCH_kernel.json", metavar="PATH",
-        help="bench: trajectory file (default: BENCH_kernel.json)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="bench: fail on regression against the last trajectory entry",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=0.30, metavar="FRAC",
-        help="bench --check: tolerated fractional drop (default 0.30)",
-    )
-    parser.add_argument(
-        "--max-overhead", type=float, default=0.05, metavar="FRAC",
-        help="bench --check: tolerated instrumentation overhead on the "
-        "kernel-events bench with tracing disabled (default 0.05)",
-    )
-    parser.add_argument(
-        "--no-append", action="store_true",
-        help="bench: do not write the run into the trajectory file",
-    )
     parser.add_argument(
         "--out", default=None, metavar="PATH",
-        help="bench/trace/metrics/audit: write this run's output to a "
-        "standalone file (trace default: trace.json; audit default: "
-        "alerts.jsonl)",
+        help="trace/metrics/audit/latency/profile/schedfuzz/lint: write "
+        "this run's output to a standalone file (trace default: "
+        "trace.json; audit default: alerts.jsonl)",
     )
     # trace/metrics/audit/latency/profile options (ignored elsewhere).
     parser.add_argument(
@@ -372,84 +338,6 @@ def run_all(
             bench_out, timings, label=f"all@{scale}", jobs=jobs,
             extra={"wall_s": round(wall, 4), "seed": seed},
         )
-
-
-def run_bench(args: argparse.Namespace) -> int:
-    """The ``bench`` subcommand: microbench suite + trajectory."""
-    from repro.harness import bench
-
-    snapshots: dict = {}
-    metrics = bench.run_suite(quick=args.quick, snapshots=snapshots)
-    for key, value in metrics.items():
-        print(f"{key}: {value:.1f}")
-    overhead = bench.overhead_fraction(metrics)
-    if overhead is not None:
-        print(f"instrumentation_overhead: {overhead:.1%}")
-    sampled_overhead = bench.attribution_overhead_fraction(metrics)
-    if sampled_overhead is not None:
-        print(f"latency_attribution_overhead: {sampled_overhead:.1%}")
-        # Percent, not fraction: append_entry rounds metrics to one
-        # decimal, which would flatten a fraction to 0.0 or 0.1.
-        metrics["latency_attribution_overhead_pct"] = sampled_overhead * 100
-    mvcc_overhead = bench.ro_overhead_fraction(metrics)
-    if mvcc_overhead is not None:
-        print(f"mvcc_write_overhead: {mvcc_overhead:.1%}")
-        metrics["mvcc_write_overhead_pct"] = mvcc_overhead * 100
-    profiler_overhead = bench.profiler_overhead_fraction(metrics)
-    if profiler_overhead is not None:
-        print(f"profiler_overhead: {profiler_overhead:.1%}")
-        metrics["profiler_overhead_pct"] = profiler_overhead * 100
-
-    exit_code = 0
-    if args.check:
-        trajectory = bench.load_trajectory(args.trajectory)
-        baseline = bench.latest_entry(trajectory, quick=args.quick)
-        if baseline is None:
-            print(f"no baseline in {args.trajectory}; nothing to check")
-        else:
-            ok, report = bench.compare(
-                baseline["metrics"], metrics,
-                max_regression=args.max_regression,
-            )
-            print(f"\nvs baseline {baseline['label']!r} "
-                  f"({baseline['timestamp']}):")
-            print(report)
-            if not ok:
-                exit_code = 1
-            base_profile = baseline.get("obs", {}).get("profile")
-            cur_profile = snapshots.get("profile")
-            if base_profile and cur_profile:
-                for line in bench.share_drift(base_profile, cur_profile):
-                    print(line)
-        if overhead is not None and overhead > args.max_overhead:
-            print(f"instrumentation overhead {overhead:.1%} exceeds "
-                  f"--max-overhead {args.max_overhead:.0%}  << REGRESSION")
-            exit_code = 1
-        if sampled_overhead is not None and sampled_overhead > args.max_overhead:
-            print(f"latency attribution overhead {sampled_overhead:.1%} exceeds "
-                  f"--max-overhead {args.max_overhead:.0%}  << REGRESSION")
-            exit_code = 1
-        if mvcc_overhead is not None and mvcc_overhead > args.max_overhead:
-            print(f"mvcc write overhead {mvcc_overhead:.1%} exceeds "
-                  f"--max-overhead {args.max_overhead:.0%}  << REGRESSION")
-            exit_code = 1
-        if profiler_overhead is not None and profiler_overhead > args.max_overhead:
-            print(f"profiler overhead {profiler_overhead:.1%} exceeds "
-                  f"--max-overhead {args.max_overhead:.0%}  << REGRESSION")
-            exit_code = 1
-    if not args.no_append:
-        bench.append_entry(
-            args.trajectory, metrics, label=args.label, quick=args.quick,
-            snapshots=snapshots,
-        )
-    if args.out:
-        import json
-
-        with open(args.out, "w") as handle:
-            json.dump({"label": args.label, "quick": args.quick,
-                       "metrics": metrics}, handle, indent=2)
-            handle.write("\n")
-    return exit_code
 
 
 def run_trace(args: argparse.Namespace) -> int:
@@ -762,8 +650,6 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         for key, spec in EXPERIMENTS.items():
             print(f"{key}  {spec['title']}")
         return 0
-    if name == "bench":
-        return run_bench(args)
     if name == "trace":
         return run_trace(args)
     if name == "metrics":

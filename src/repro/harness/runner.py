@@ -6,6 +6,7 @@ import hashlib
 import typing
 
 from repro.baselines import (
+    StrictROWA,
     build_directory_system,
     build_naive_system,
     build_quorum_system,
@@ -181,3 +182,44 @@ def quiesce(kernel: Kernel, system: DatabaseSystem, grace: float = 500.0) -> Non
     # drain, a 2PC blocked past the grace window) is closed and tagged
     # truncated=True rather than dropped from the exports.
     system.obs.spans.finish_open()
+
+
+def closed_loop_rmw(
+    n_txns: int, commit_mode: str = "sync_2pc", n_clients: int = 4
+) -> tuple[DatabaseSystem, float]:
+    """Closed-loop read-modify-write clients on private items, 3 sites.
+
+    Each of ``n_clients`` clients (homes round-robin) runs ``n_txns //
+    n_clients`` increments of its own item back to back, under strict
+    ROWA at unit latency, so no run aborts or retries. Returns the
+    stopped system and the sim time of the last client ack; async
+    drains get 200 more units to finish.
+    """
+    per_client = n_txns // n_clients
+    kernel = Kernel(seed=0)
+    system = DatabaseSystem(
+        kernel, 3, {f"X{c}": 0 for c in range(n_clients)},
+        strategy_factory=lambda _s: StrictROWA(),
+        latency=ConstantLatency(1.0),
+        config=TxnConfig(commit_mode=commit_mode),
+    )
+    system.boot()
+
+    def client(c: int) -> typing.Generator:
+        item = f"X{c}"
+
+        def increment(ctx: typing.Any) -> typing.Generator:
+            value = yield from ctx.read(item)
+            yield from ctx.write(item, value + 1)
+
+        for _ in range(per_client):
+            yield from system.tms[1 + c % 3].run(increment)
+
+    for proc in [kernel.process(client(c)) for c in range(n_clients)]:
+        kernel.run(proc)
+    elapsed = kernel.now
+    kernel.run(until=kernel.now + 200.0)
+    system.stop()
+    for c in range(n_clients):
+        assert system.copy_value(1, f"X{c}") == per_client
+    return system, elapsed

@@ -1,11 +1,11 @@
 """REP006 (advisory) — missing ``__slots__`` on hot-path kernel classes.
 
 The kernel's inner loop allocates futures, timeouts, and callbacks by
-the hundred-thousand per run; PR 1's fast path slotted them and the
-perf trajectory (BENCH_kernel.json) banks on it. A new class in the
-hot-path modules without ``__slots__`` quietly reintroduces a
-per-instance ``__dict__`` — correct, but a measurable throughput
-regression the microbench may take a while to localize.
+the hundred-thousand per run, and the kernel fast path slots them. A
+new class in the hot-path modules without ``__slots__`` quietly
+reintroduces a per-instance ``__dict__`` — correct, but a throughput
+regression the tier-1 bytecode budgets cannot see: the attribute
+accesses are the same bytecodes either way.
 
 Advisory severity: ``__slots__`` is a performance convention, not a
 correctness invariant, so this never fails the gate by itself.

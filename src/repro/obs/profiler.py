@@ -11,8 +11,8 @@ at *run boundaries*: a run is a maximal stretch of consecutive events
 sharing one dispatch signature (a Future's waiter-list identity, a
 Callback's function). The common storms — thousands of bare timeouts,
 one process resumed again and again — therefore cost two clock reads
-total rather than two per event, which is what keeps the profiled
-kernel-events bench under the <5% ``--max-overhead`` gate. Charging
+total rather than two per event; ``tests/obs/test_profiler.py`` pins
+that, and the profiler's bytecodes per event, by exact counts. Charging
 whole runs keeps the headline invariant exact: the per-subsystem
 exclusive ``cpu_s`` sum to the wall time spent inside the dispatch loop.
 
@@ -230,15 +230,6 @@ class HostProfiler:
             "subsystems": subsystems,
         }
 
-    def shares(self) -> dict[str, float]:
-        """``{label: fraction of total cpu}``, label-sorted; {} when idle."""
-        total = self.total_cpu_s
-        if not total:
-            return {}
-        return {
-            label: cpu / total for label, cpu in sorted(self.cpu_s.items())
-        }
-
     def metrics(self) -> dict[str, object]:
         """The flat ``prof.*`` mapping the metric catalog documents.
 
@@ -302,8 +293,8 @@ class StackSampler:
     A deterministic tracing profiler, not a statistical one: every
     call/return boundary charges the elapsed host time to the stack
     that was running. Expensive (it hooks every Python and C call), so
-    it is opt-in per run (``repro profile --sample``) and never sits
-    under the overhead gate. Stacks are relative to wherever
+    it is opt-in per run (``repro profile --sample``) and never counted
+    in the cost pins. Stacks are relative to wherever
     :meth:`start` was called; frames opened before that simply never
     appear.
     """

@@ -28,9 +28,9 @@ windows with any site down), the minimum windowed commit rate and the
 time to recover 90% of the all-up baseline rate.
 
 Cost model: one timer callback per period touching a handful of Python
-counters — never the kernel event loop. The bench's
-``latency_attribution_overhead`` twin keeps it under the same <5% gate
-as the rest of the observability layer.
+counters — never the kernel event loop. ``tests/obs/test_timeseries.py``
+counts the bytecodes a live sampler adds and requires the same extra at
+two event counts: a cost per tick, none per event.
 """
 
 from __future__ import annotations

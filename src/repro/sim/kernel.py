@@ -99,8 +99,8 @@ class Kernel:
         self.rng = RngRegistry(seed)
         self._unhandled: list[Future] = []
         #: Count of entries dispatched by the drain loop (skipped
-        #: cancelled entries excluded); the events/sec basis of the perf
-        #: trajectory.
+        #: cancelled entries excluded); the per-event basis of the
+        #: bytecode budgets in the tier-1 tests.
         self.events_processed = 0
         #: The attached host-CPU profiler
         #: (:class:`repro.obs.profiler.HostProfiler`), or None. When set,

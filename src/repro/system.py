@@ -153,7 +153,7 @@ class DatabaseSystem:
         # argument, so the subsystem stays off there.
         self.mvcc: dict[int, "MultiVersionStore"] = {}
         self.snapshots: dict[int, "SnapshotManager"] = {}
-        if self.config.mvcc and concurrency == "2pl":
+        if concurrency == "2pl":
             from repro.mvcc import MultiVersionStore, SnapshotManager
 
             for site_id in self.cluster.site_ids:

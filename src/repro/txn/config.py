@@ -12,6 +12,13 @@ class TxnConfig:
     All times are virtual (simulation) time units; think "milliseconds"
     at LAN scale.
 
+    Multiversion snapshot reads (``beginRO`` via
+    ``TransactionManager.submit_ro``) have no switch: they are on under
+    2PL concurrency, where version order equals 2PC-decision order, and
+    off under TO, whose timestamp versions break the time-cut argument
+    (see DESIGN.md "Snapshot reads"). ``ro_staleness_floor`` and
+    ``mvcc_gc_period`` tune them.
+
     Attributes
     ----------
     rpc_timeout:
@@ -50,12 +57,6 @@ class TxnConfig:
         site before giving the site up to recovery marks.
     drain_retry_delay:
         Pause between drain retry rounds.
-    mvcc:
-        Enable multiversion snapshot reads (``beginRO`` via
-        ``TransactionManager.submit_ro``). Only takes effect under 2PL
-        concurrency, where version order equals 2PC-decision order; the
-        TO scheduler's timestamp versions break the time-cut argument
-        (see DESIGN.md "Snapshot reads") and disable the subsystem.
     ro_staleness_floor:
         ``D``, the snapshot staleness floor: a fully-current site serves
         read-only transactions at the cut ``now - D``. Must upper-bound
@@ -76,7 +77,6 @@ class TxnConfig:
     commit_mode: str = "sync_2pc"
     drain_retries: int = 1
     drain_retry_delay: float = 10.0
-    mvcc: bool = True
     ro_staleness_floor: float = 2.0
     mvcc_gc_period: float = 50.0
 

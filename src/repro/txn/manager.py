@@ -129,8 +129,7 @@ class TransactionManager:
             AsyncQuorumCommit.name: AsyncQuorumCommit(self),
         }
         #: The site's :class:`~repro.mvcc.snapshot.SnapshotManager`; wired
-        #: by the system when multiversion snapshot reads are enabled
-        #: (``config.mvcc`` and 2PL concurrency), else None and
+        #: by the system under 2PL concurrency, else (TO) None and
         #: :meth:`submit_ro` refuses.
         self.snapshots: typing.Any = None
         self._active: set[str] = set()

@@ -13,8 +13,9 @@ class WalConfig:
     ----------
     enabled:
         Turn the WAL off entirely (the site keeps the legacy
-        "stable-by-construction copy store" semantics). Used by
-        ablations and by the obs-overhead bench.
+        "stable-by-construction copy store" semantics). Only tests set
+        it (``tests/storage/test_wal.py``,
+        ``tests/core/test_wal_restart.py``).
     checkpoint_every:
         Take a fuzzy checkpoint after this many records have been
         group-committed since the last one. Smaller values shorten

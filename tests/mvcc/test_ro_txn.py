@@ -193,10 +193,10 @@ class TestReadOnlyContract:
         assert txn.read_only
 
     def test_mvcc_off_refuses_begin_ro(self):
-        from repro.txn.config import TxnConfig
-
+        # Snapshot reads are off under TO concurrency (timestamp
+        # versions break the time-cut argument).
         kernel, system = build_scheme(
-            "rowaa", 5, 3, {"X": 0}, txn_config=TxnConfig(mvcc=False)
+            "rowaa", 5, 3, {"X": 0}, concurrency="to"
         )
         assert system.mvcc == {}
 

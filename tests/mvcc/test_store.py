@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import SnapshotUnavailable
-from repro.harness.runner import build_scheme
-from repro.mvcc.store import VersionChain, version_key
+from repro.harness.runner import build_scheme, closed_loop_rmw
+from repro.mvcc.store import MultiVersionStore, VersionChain, version_key
 from repro.storage.copies import Version
+from tests.bytecodes import PINNED, count_bytecodes_under
 
 
 class TestVersionChain:
@@ -167,3 +168,15 @@ class TestCheckpointPayload:
         system.cluster.site(1).last_crash_time = None
         store.on_restore(payload)
         assert store.digest_state() == before
+
+
+def test_chain_hook_costs_the_same_per_applied_write():
+    # Every applied copy write costs the writer one hook call, and the
+    # call's cost does not grow with the chains it appends to.
+    code = MultiVersionStore._on_copy_event.__code__
+    small, small_calls = count_bytecodes_under(lambda: closed_loop_rmw(60), code)
+    large, large_calls = count_bytecodes_under(lambda: closed_loop_rmw(200), code)
+    assert (small_calls, large_calls) == (3 * 60, 3 * 200)
+    assert small / small_calls == large / large_calls
+    if PINNED:
+        assert small / small_calls == 93

@@ -26,6 +26,7 @@ from repro.obs.profiler import (
 )
 from repro.obs.spans import SpanRecorder
 from repro.sim.kernel import Kernel
+from tests.bytecodes import PINNED, count_bytecodes, staggered_timeouts
 
 
 class TestSubsystemMap:
@@ -41,7 +42,7 @@ class TestSubsystemMap:
         assert subsystem_of_module("repro.wal") == "wal"
         assert subsystem_of_module("repro.mvcc.store") == "mvcc"
         assert subsystem_of_module("repro.obs.timeseries") == "obs"
-        assert subsystem_of_module("repro.harness.bench") == "workload"
+        assert subsystem_of_module("repro.harness.runner") == "workload"
         assert subsystem_of_module("repro.workload") == "workload"
         assert subsystem_of_module("some.third.party") == "other"
 
@@ -105,13 +106,13 @@ class TestHostProfiler:
         assert profiler.total_events == kernel.events_processed
 
     def test_callback_labelled_by_function_module(self):
-        from repro.harness.bench import _noop
+        from repro.harness.metrics import mean
 
         kernel = Kernel(seed=0)
         profiler = HostProfiler()
         profiler.attach(kernel)
         for index in range(4):
-            kernel.schedule_callback(float(index), _noop)
+            kernel.schedule_callback(float(index), mean, [1.0])
         kernel.run()
         assert profiler.events.get("workload") == 4
 
@@ -135,8 +136,8 @@ class TestHostProfiler:
         entry = report["subsystems"]["kernel"]
         assert entry["share"] == pytest.approx(1.0)
         assert entry["cpu_per_event"] == pytest.approx(entry["cpu_s"] / 50)
-        assert sum(profiler.shares().values()) == pytest.approx(1.0)
         metrics = profiler.metrics()
+        assert sum(metrics["prof.share"].values()) == pytest.approx(1.0)
         assert metrics["prof.total_events"] == 50
         assert set(metrics) == {
             "prof.total_cpu_s", "prof.dispatch_wall_s", "prof.total_events",
@@ -148,8 +149,42 @@ class TestHostProfiler:
 
     def test_idle_profiler_is_empty(self):
         profiler = HostProfiler()
-        assert profiler.shares() == {}
         assert profiler.report()["subsystems"] == {}
+        assert profiler.metrics()["prof.share"] == {}
+
+
+def _profiled_cost(n):
+    """(host-clock reads, extra kernel bytecodes) of profiling ``n`` timeouts."""
+    reads = []
+
+    def counting_clock():
+        reads.append(None)
+        return float(len(reads))
+
+    kernel = Kernel(seed=0)
+    profiler = HostProfiler(clock=counting_clock)
+    profiler.attach(kernel)
+    staggered_timeouts(kernel, n)
+    profiled = count_bytecodes(kernel.run)
+    assert profiler.total_events == kernel.events_processed == n
+    plain = count_bytecodes(staggered_timeouts(Kernel(seed=0), n).run)
+    return len(reads), profiled - plain
+
+
+class TestProfilerCost:
+    """Run-length batching keeps the profiler off the per-event path."""
+
+    def test_bare_timeouts_cost_two_clock_reads(self):
+        assert _profiled_cost(400)[0] == 2
+        assert _profiled_cost(2000)[0] == 2
+
+    def test_fixed_bytecode_cost_per_event(self):
+        extra_400, extra_2000 = _profiled_cost(400)[1], _profiled_cost(2000)[1]
+        per_event, rest = divmod(extra_2000 - extra_400, 1600)
+        assert rest == 0
+        if PINNED:
+            assert per_event == 9
+            assert extra_400 - 9 * 400 == 47
 
 
 def _write_x(ctx):

@@ -21,6 +21,7 @@ from repro.obs.timeseries import (
     render_outage_stats,
 )
 from repro.sim.kernel import Kernel
+from tests.bytecodes import KERNEL_FILES, PINNED, count_bytecodes, staggered_timeouts
 
 
 class _State:
@@ -106,6 +107,38 @@ class TestSampler:
     def test_bad_period_rejected(self):
         with pytest.raises(ValueError, match="period"):
             WindowedSampler(Kernel(seed=0), period=0.0)
+
+
+def _drain_bytecodes(n, sampled):
+    """Bytecodes of draining ``n`` timeouts, with or without a live sampler."""
+    kernel = staggered_timeouts(Kernel(seed=0), n)
+    sampler = WindowedSampler(kernel, period=5.0)
+    sampler.add_delta("ts.events", lambda: float(kernel.events_processed))
+
+    def run():
+        # The same drain either way: run(until=t) costs more per event
+        # than run(), so the twins must not mix them.
+        if sampled:
+            sampler.start()
+        kernel.run(until=97.0)  # the last timeout fires at 96
+        if sampled:
+            sampler.stop()
+        kernel.run()
+
+    count = count_bytecodes(run, KERNEL_FILES + ("obs/timeseries.py",))
+    assert sampler.windows == (19 if sampled else 0)
+    return count
+
+
+def _sampled_extra_bytecodes(n):
+    return _drain_bytecodes(n, sampled=True) - _drain_bytecodes(n, sampled=False)
+
+
+def test_live_sampler_costs_per_tick_not_per_event():
+    extra = _sampled_extra_bytecodes(400)
+    assert _sampled_extra_bytecodes(2000) == extra
+    if PINNED:
+        assert extra == 3518
 
 
 def _outage_run():

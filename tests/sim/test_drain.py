@@ -7,15 +7,15 @@ order, and count the same events, whichever way it is drained and
 whatever is attached.
 """
 
-import sys
-
 import pytest
 
+from repro.obs import Observability
 from repro.obs.profiler import HostProfiler
 from repro.sanitize import hooks
 from repro.sanitize.hb import attach_detector, detach_detector
 from repro.sanitize.policy import ScheduleSpec, attach_policy
 from repro.sim import Kernel
+from tests.bytecodes import PINNED, count_bytecodes, staggered_timeouts
 
 
 def _scripted(kernel, log):
@@ -129,38 +129,45 @@ def test_profiler_policy_and_detector_compose_on_e2():
 
 
 def _kernel_opcodes_per_event(kernel, n=400):
-    """``sim/kernel.py`` bytecodes executed per event on kernel-events."""
-    count = 0
-
-    def per_opcode(frame, event, arg):
-        nonlocal count
-        if event == "opcode":
-            count += 1
-        return per_opcode
-
-    def per_call(frame, event, arg):
-        if frame.f_code.co_filename.endswith("sim/kernel.py"):
-            frame.f_trace_opcodes = True
-            return per_opcode
-        return None
-
-    previous = sys.gettrace()
-    sys.settrace(per_call)
-    try:
-        for index in range(n):
-            kernel.timeout(index % 97)
-        kernel.run()
-    finally:
-        sys.settrace(previous)
-    return count / kernel.events_processed
+    """Kernel bytecodes executed per event on kernel-events."""
+    staggered_timeouts(kernel, n)
+    return count_bytecodes(kernel.run) / kernel.events_processed
 
 
-def test_detached_sanitizer_costs_no_bytecode():
-    fresh = _kernel_opcodes_per_event(Kernel(seed=0))
-    kernel = Kernel(seed=0)
+def _detached_sanitizer(kernel):
     attach_policy(kernel, ScheduleSpec(mode="canonical"))
     attach_detector(kernel)
     detach_detector(kernel)
     kernel.set_tiebreak(None)
     assert hooks.ACTIVE is None
+
+
+def _disabled_observability(kernel):
+    # The registry is pull-based and spans are off.
+    obs = Observability(kernel)
+    obs.registry.add_collector(
+        lambda: {("kernel.events_processed", None): float(kernel.events_processed)}
+    )
+    return obs
+
+
+@pytest.mark.parametrize(
+    "instrument", [_detached_sanitizer, _disabled_observability],
+    ids=["detached-sanitizer", "disabled-observability"],
+)
+def test_idle_instrument_costs_no_bytecode(instrument):
+    fresh = _kernel_opcodes_per_event(Kernel(seed=0))
+    kernel = Kernel(seed=0)
+    obs = instrument(kernel)
     assert _kernel_opcodes_per_event(kernel) == fresh
+    if obs is not None:
+        assert obs.registry.snapshot()["global"]["kernel.events_processed"] == 400
+
+
+@pytest.mark.skipif(not PINNED, reason="bytecode counts are pinned for CPython 3.11")
+def test_kernel_events_bytecode_budget():
+    # Draining 2,000 staggered timeouts: 63.0 bytecodes per event in the
+    # kernel's own files. A hot-loop change updates this pin.
+    kernel = staggered_timeouts(Kernel(seed=0), 2000)
+    assert count_bytecodes(kernel.run) == 126_046
+    assert kernel.events_processed == 2000
