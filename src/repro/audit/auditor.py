@@ -172,9 +172,8 @@ class ProtocolAuditor:
         for site in system.cluster.sites.values():
             site.crash_hooks.append(self._crash_hook(site))
             site.power_on_hooks.append(self._power_on_hook(site))
-            if site.wal is not None:
-                site.wal.flush_hooks.append(self._wal_hook(site))
-                site.wal.checkpoint_hooks.append(self._wal_hook(site))
+            site.wal.flush_hooks.append(self._wal_hook(site))
+            site.wal.checkpoint_hooks.append(self._wal_hook(site))
         system.cluster.recovered_hooks.append(self._on_recovered)
         self.obs.registry.add_collector(self._collect)
         self._watchdog_proc = self.kernel.process(
@@ -634,7 +633,7 @@ class ProtocolAuditor:
         implementation.
         """
         checkpoint = typing.cast("dict | None", site.stable.get(CHECKPOINT_KEY))
-        if checkpoint is None or site.wal is None:
+        if checkpoint is None:
             return None
         items = {
             name: (value, version, unreadable)

@@ -50,24 +50,18 @@ class RowaaStrategy:
         round trips, which is why the paper calls the overhead
         negligible (§6).
 
-        With ``batch_ns_read`` (the default) the whole vector is
-        materialised by one batched request — one snapshot per
-        transaction rather than one physical operation per site. The
-        locks taken and the history recorded are identical to the
-        per-site sequence below.
+        The whole vector is materialised by one batched request — one
+        snapshot per transaction rather than one physical operation per
+        site. The locks taken and the history recorded are those of n
+        per-site reads in site order.
         """
         home = ctx.tm.site_id
         site_ids = ctx.tm.catalog.site_ids
-        if self.config.batch_ns_read:
-            pairs = yield from ctx.dm_read_batch(
-                home, [ns_item(site_id) for site_id in site_ids]
-            )
-            for site_id, (value, _version) in zip(site_ids, pairs):
-                ctx.view[site_id] = int(value)
-            return None
-        for site_id in site_ids:
-            value, _version = yield from ctx.dm_read(home, ns_item(site_id))
-            ctx.view[site_id] = int(value)  # type: ignore[call-overload]
+        pairs = yield from ctx.dm_read_batch(
+            home, [ns_item(site_id) for site_id in site_ids]
+        )
+        for site_id, (value, _version) in zip(site_ids, pairs):
+            ctx.view[site_id] = int(value)
         return None
 
     # -- logical operations ----------------------------------------------------

@@ -213,11 +213,3 @@ class SpanRecorder:
         self.instants.append(
             Instant(name, category, site_id, self.kernel.now, detail)
         )
-
-    # -- queries --------------------------------------------------------------
-
-    def spans_of_category(self, category: str) -> list[Span]:
-        return [span for span in self.spans if span.category == category]
-
-    def children_of(self, span_id: int) -> list[Span]:
-        return [span for span in self.spans if span.parent_id == span_id]

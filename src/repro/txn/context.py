@@ -277,23 +277,6 @@ class ReadOnlyTxnContext:
         )
         return [value for value, _version in reply]
 
-    def read_versioned(self, items: typing.Sequence[str]) -> typing.Generator:
-        """Like :meth:`read_many` but returns ``(value, version)`` pairs
-        (tests and the auditor's cross-checks use the versions)."""
-        request = SnapshotReadRequest(
-            txn_id=self.txn.txn_id,
-            txn_seq=self.txn.seq,
-            items=tuple(items),
-            cut_ts=self.snapshot.cut[0],
-            cut_commit=self.snapshot.cut[1],
-        )
-        self.txn.touched_sites.add(self.tm.site_id)
-        reply = yield self.tm.rpc.call(
-            self.tm.site_id, "dm.read_snapshot", request,
-            timeout=self.tm.config.rpc_timeout, span_parent=self._span,
-        )
-        return list(reply)
-
     def write(self, item: str, value: object) -> typing.Generator:
         """Read-only transactions cannot write; always raises."""
         raise TransactionError(

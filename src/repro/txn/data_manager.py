@@ -331,7 +331,7 @@ class DataManager:
             # Partition mode fences snapshot reads too: the frozen side
             # must not leak the pre-partition world to clients.
             raise NotOperational(self.site_id)
-        store = getattr(self.site, "mvcc", None)
+        store = self.site.mvcc
         if store is None:
             raise TransactionError(
                 f"site {self.site_id} has no multiversion store"
@@ -372,42 +372,41 @@ class DataManager:
             part.prepared = True
             part.participants = tuple(request.applied_sites) or (self.site_id,)
             wal = self.site.wal
-            if wal is not None:
-                wal.log_prepare(
-                    request.txn_id,
-                    request.txn_seq,
-                    part.coordinator,
-                    part.participants,
-                    request.item,
-                    request.value,
-                    version_override=request.version_override,
-                    applied_sites=request.applied_sites,
-                    missed_sites=request.missed_sites,
-                )
-                part.durable = True
-                # Group commit: every prepare landing this timestep
-                # shares one stable segment write; the ack is gated on
-                # durability but costs no simulated time today — the
-                # wal-stall span marks the boundary so critpath charges
-                # any future flush latency to wal_stall, not execution.
-                obs = self.site.obs
-                stall = None
-                if obs.spans_on:
-                    # Parented to the transaction root (same recorder
-                    # across sites); skipped if the root was never
-                    # recorded — a parentless txn_id span would usurp
-                    # the root registry.
-                    root = obs.spans.root_of(request.txn_id)
-                    if root is not None:
-                        stall = obs.spans.start(
-                            "wal-stall", "wal_stall", self.site_id,
-                            parent=root, txn_id=request.txn_id,
-                        )
-                try:
-                    yield wal.flush_soon()
-                finally:
-                    if stall is not None:
-                        obs.spans.finish(stall)
+            wal.log_prepare(
+                request.txn_id,
+                request.txn_seq,
+                part.coordinator,
+                part.participants,
+                request.item,
+                request.value,
+                version_override=request.version_override,
+                applied_sites=request.applied_sites,
+                missed_sites=request.missed_sites,
+            )
+            part.durable = True
+            # Group commit: every prepare landing this timestep
+            # shares one stable segment write; the ack is gated on
+            # durability but costs no simulated time today — the
+            # wal-stall span marks the boundary so critpath charges
+            # any future flush latency to wal_stall, not execution.
+            obs = self.site.obs
+            stall = None
+            if obs.spans_on:
+                # Parented to the transaction root (same recorder
+                # across sites); skipped if the root was never
+                # recorded — a parentless txn_id span would usurp
+                # the root registry.
+                root = obs.spans.root_of(request.txn_id)
+                if root is not None:
+                    stall = obs.spans.start(
+                        "wal-stall", "wal_stall", self.site_id,
+                        parent=root, txn_id=request.txn_id,
+                    )
+            try:
+                yield wal.flush_soon()
+            finally:
+                if stall is not None:
+                    obs.spans.finish(stall)
         return True
 
     # -- 2PC participant ------------------------------------------------------------
@@ -501,22 +500,21 @@ class DataManager:
                     intent.version_override is not None,
                 )
         self._decided[txn_id] = ("committed", version)
-        if self.site.wal is not None:
-            if part.durable:
-                # The resolve record rides the same group commit as the
-                # applied writes; it retires the in-doubt prepare.
-                self.site.wal.log_resolve(txn_id, "committed")
-            if part.writes or part.durable:
-                # Group commit: every record journaled while applying this
-                # transaction's writes becomes durable in one segment write.
-                self.site.wal.on_commit()
+        if part.durable:
+            # The resolve record rides the same group commit as the
+            # applied writes; it retires the in-doubt prepare.
+            self.site.wal.log_resolve(txn_id, "committed")
+        if part.writes or part.durable:
+            # Group commit: every record journaled while applying this
+            # transaction's writes becomes durable in one segment write.
+            self.site.wal.on_commit()
         self.lock_manager.cancel(txn_id)
 
     def _apply_abort(self, txn_id: str) -> None:
         part = self._participations.pop(txn_id, None)
         if part is not None:
             self._decided[txn_id] = ("aborted", None)
-            if part.durable and self.site.wal is not None:
+            if part.durable:
                 # Lazy durability: losing this record only re-arms the
                 # transaction as in-doubt, and resolution re-aborts.
                 self.site.wal.log_resolve(txn_id, "aborted")
@@ -534,10 +532,7 @@ class DataManager:
         and a resolver process that queries the coordinator immediately
         instead of waiting out ``decision_timeout``.
         """
-        wal = self.site.wal
-        if wal is None:
-            return
-        for txn_id, records in wal.unresolved_prepares().items():
+        for txn_id, records in self.site.wal.unresolved_prepares().items():
             if txn_id in self._participations or txn_id in self._decided:
                 continue
             writes: dict[str, WriteIntent] = {}

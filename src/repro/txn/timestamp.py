@@ -172,7 +172,7 @@ class TimestampDataManager(DataManager):
                     version=applied,
                 )
         self._decided[txn_id] = ("committed", version)
-        if part.writes and self.site.wal is not None:
+        if part.writes:
             self.site.wal.on_commit()  # group commit, as in the 2PL DM
         self.lock_manager.cancel(txn_id)  # no-op safety
 

@@ -11,11 +11,6 @@ class WalConfig:
 
     Attributes
     ----------
-    enabled:
-        Turn the WAL off entirely (the site keeps the legacy
-        "stable-by-construction copy store" semantics). Only tests set
-        it (``tests/storage/test_wal.py``,
-        ``tests/core/test_wal_restart.py``).
     checkpoint_every:
         Take a fuzzy checkpoint after this many records have been
         group-committed since the last one. Smaller values shorten
@@ -29,6 +24,5 @@ class WalConfig:
         crashed before it).
     """
 
-    enabled: bool = True
     checkpoint_every: int = 64
     retain_records: int = 512

@@ -19,7 +19,7 @@ and its :class:`~repro.storage.stable.StableStorage`:
 
 A site whose stable storage holds no checkpoint (never initialised by a
 :class:`~repro.system.DatabaseSystem`, e.g. a bare ``Site`` in a unit
-test) keeps the legacy crash semantics: restore is a no-op.
+test) has nothing to rebuild from: restore is a no-op.
 """
 
 from __future__ import annotations
@@ -263,11 +263,10 @@ class SiteWal:
                     for txn, records in self._unresolved.items()
                 },
                 # Multiversion chain tails + the durable snapshot cut
-                # (repro.mvcc); None when the subsystem is off. Duck-typed
-                # so the WAL has no dependency on repro.mvcc.
+                # (repro.mvcc); None when the subsystem is off.
                 "mvcc": (
-                    self.site.mvcc.checkpoint_payload()  # type: ignore[attr-defined]
-                    if getattr(self.site, "mvcc", None) is not None
+                    self.site.mvcc.checkpoint_payload()
+                    if self.site.mvcc is not None
                     else None
                 ),
             },
@@ -294,7 +293,7 @@ class SiteWal:
 
         Returns None (and touches nothing) when stable storage holds no
         checkpoint — the site was never initialised through a
-        DatabaseSystem and keeps legacy crash semantics.
+        DatabaseSystem, so there is nothing to rebuild from.
         """
         stable = self.site.stable
         checkpoint = typing.cast("dict | None", stable.get(CHECKPOINT_KEY))
@@ -350,7 +349,7 @@ class SiteWal:
         self.last_checkpoint_lsn = checkpoint["lsn"]
         self._records_since_checkpoint = self.checkpoint_lag
         self.restore_high_commit = high_commit
-        mvcc = getattr(self.site, "mvcc", None)
+        mvcc = self.site.mvcc
         if mvcc is not None:
             # The reset/install hooks rebuilt single-version chains during
             # the replay above; hand over the checkpointed chain tails and

@@ -37,13 +37,6 @@ class ClientStats:
             return 1.0
         return self.committed / self.attempted
 
-    @property
-    def ro_availability(self) -> float:
-        """Fraction of read-only attempts that committed."""
-        if self.ro_attempted == 0:
-            return 1.0
-        return self.ro_committed / self.ro_attempted
-
     def merge(self, other: "ClientStats") -> None:
         self.attempted += other.attempted
         self.committed += other.committed

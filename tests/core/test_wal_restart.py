@@ -1,17 +1,24 @@
 """Restart-by-replay: power-on reconstructs purely from checkpoint + log.
 
-The seed's crash model kept committed copies alive in memory across a
-crash ("stable by construction"). With the WAL, the restore path resets
-the in-memory store and rebuilds it — these tests corrupt the volatile
+Every site owns a WAL: the restore path resets the in-memory store and
+rebuilds it, rather than letting committed copies survive a crash in
+memory ("stable by construction"). These tests corrupt the volatile
 structures while the site is down to prove nothing "magically survives".
 """
 
+import functools
+
+import pytest
+
+from repro.baselines.spooler import SpoolerSystem
+from repro.baselines.systems import DirectorySystem
 from repro.core import RowaaConfig, RowaaSystem
 from repro.net import ConstantLatency
 from repro.sim import Kernel
 from repro.storage.copies import Version
 from repro.txn import TxnConfig
-from repro.wal import WalConfig
+from repro.wal import SiteWal, WalConfig
+from repro.wal.log import CHECKPOINT_KEY
 from tests.core.conftest import write_program
 
 
@@ -30,16 +37,27 @@ def build_wal_system(seed=11, wal_config=None, rowaa_config=None, items=None):
     return kernel, system
 
 
-class TestGenesis:
-    def test_boot_writes_a_genesis_checkpoint_everywhere(self):
-        _kernel, system = build_wal_system()
-        for site_id in system.cluster.site_ids:
-            wal = system.cluster.site(site_id).wal
-            assert wal is not None
-            assert wal.stats.checkpoints >= 1
-            from repro.wal.log import CHECKPOINT_KEY
+_SYSTEM_KINDS = {
+    "2pl": RowaaSystem,
+    "to": functools.partial(RowaaSystem, concurrency="to"),
+    "spooler": SpoolerSystem,
+    "directory": DirectorySystem,
+}
 
-            assert system.cluster.site(site_id).stable.get(CHECKPOINT_KEY) is not None
+
+class TestGenesis:
+    @pytest.mark.parametrize("kind", list(_SYSTEM_KINDS))
+    def test_boot_writes_a_genesis_checkpoint_everywhere(self, kind):
+        system = _SYSTEM_KINDS[kind](
+            Kernel(seed=11), n_sites=3, items={"X": 0, "Y": 0},
+            latency=ConstantLatency(1.0),
+        )
+        system.boot()
+        for site_id in system.cluster.site_ids:
+            site = system.cluster.site(site_id)
+            assert isinstance(site.wal, SiteWal)
+            assert site.wal.stats.checkpoints >= 1
+            assert site.stable.get(CHECKPOINT_KEY) is not None
 
 
 class TestRestartByReplay:
@@ -119,18 +137,3 @@ class TestRestartByReplay:
         # Replay touched only the post-checkpoint suffix, not the epoch.
         assert site.wal.stats.records_replayed <= site.wal.config.checkpoint_every + 16
         assert system.copy_value(1, "X") == 29
-
-    def test_wal_disabled_keeps_legacy_semantics(self):
-        kernel, system = build_wal_system(
-            seed=16, wal_config=WalConfig(enabled=False)
-        )
-        assert all(
-            system.cluster.site(s).wal is None for s in system.cluster.site_ids
-        )
-        kernel.run(system.submit(1, write_program("X", 5)))
-        system.crash(3)
-        kernel.run(until=kernel.now + 40)
-        kernel.run(system.power_on(3))
-        kernel.run(until=kernel.now + 200)
-        system.stop()
-        assert system.copy_value(3, "X") == 5

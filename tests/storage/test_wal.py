@@ -274,12 +274,6 @@ class TestSiteWal:
         # The log-ship anchor must not claim the commit the crash lost.
         assert site.stable.get(CHECKPOINT_KEY)["high_commit"] == 1
 
-    def test_disabled_wal(self):
-        site = make_site(WalConfig(enabled=False))
-        assert site.wal is None
-        site.copies.create("X", 0)
-        site.copies.apply_write("X", 1, v(1))  # no journal hook, no error
-
     def test_checkpoint_key_layout(self):
         site = make_site()
         site.copies.create("X", 0)
