@@ -78,7 +78,7 @@ from repro.audit.alerts import Alert, AlertLog
 from repro.audit.onestg import OnlineOneStg
 from repro.core.nominal import db_item_filter, is_ns_item, ns_site
 from repro.txn.transaction import Transaction, TxnKind, TxnStatus
-from repro.wal.log import CHECKPOINT_KEY
+from repro.wal.log import CHECKPOINT_KEY, DELTA_PREFIX
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.site.site import Site
@@ -630,18 +630,31 @@ class ProtocolAuditor:
 
         An independent mirror of :meth:`SiteWal.restore` (same record
         semantics, no shared code) so replay bugs can't hide in a shared
-        implementation.
+        implementation: the base, then every delta above the base LSN,
+        then the log after the newest of them.
         """
-        checkpoint = typing.cast("dict | None", site.stable.get(CHECKPOINT_KEY))
+        stable = site.stable
+        checkpoint = typing.cast("dict | None", stable.get(CHECKPOINT_KEY))
         if checkpoint is None:
             return None
-        items = {
-            name: (value, version, unreadable)
-            for name, (value, version, unreadable) in checkpoint["items"].items()
-        }
-        session_last = checkpoint["session_last"]
-        session_started = checkpoint["session_started_at"]
-        for record in site.wal.log.records_after(checkpoint["lsn"]):
+        # Deltas above the base, ordered by the LSN their blobs record.
+        deltas = sorted(
+            (
+                typing.cast(dict, stable.get(key))
+                for key in stable.keys()
+                if key.startswith(DELTA_PREFIX)
+            ),
+            key=lambda delta: delta["lsn"],
+        )
+        items = dict(checkpoint["items"])
+        header = checkpoint
+        for delta in deltas:
+            if delta["lsn"] > checkpoint["lsn"]:
+                items.update(delta["items"])
+                header = delta
+        session_last = header["session_last"]
+        session_started = header["session_started_at"]
+        for record in site.wal.log.records_after(header["lsn"]):
             if record.kind == "write":
                 items[record.item] = (record.value, record.version, False)
             elif record.kind == "mark":

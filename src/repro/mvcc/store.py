@@ -283,21 +283,26 @@ class MultiVersionStore:
 
     def checkpoint_payload(self) -> dict:
         """Chain tails + the durable cut, persisted inside the site's
-        fuzzy checkpoint (the GC horizon survives restarts with it)."""
-        return {
-            "cut": self.stale_cut,
-            "chains": [
-                (
-                    item,
-                    [
-                        (rec.version.ts, rec.version.commit, rec.version.seq,
-                         rec.value)
-                        for rec in self._chains[item].records
-                    ],
-                )
-                for item in sorted(self._chains)
-            ],
-        }
+        fuzzy checkpoint (the GC horizon survives restarts with it).
+
+        A record whose key equals its copy's version is left out: the
+        checkpoint image carries that version, and restore installs it
+        into the chain before :meth:`on_restore` merges the payload.
+        Chains left with no record are omitted.
+        """
+        copies = self.site.copies
+        chains = []
+        for item in sorted(self._chains):
+            chain = self._chains[item]
+            image = version_key(copies.get(item).version) if copies.has(item) else None
+            records = [
+                (rec.version.ts, rec.version.commit, rec.version.seq, rec.value)
+                for key, rec in zip(chain.keys, chain.records)
+                if key != image
+            ]
+            if records:
+                chains.append((item, records))
+        return {"cut": self.stale_cut, "chains": chains}
 
     def on_restore(self, payload: dict | None) -> None:
         """Post-replay handoff from ``SiteWal.restore``.

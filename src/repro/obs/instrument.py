@@ -98,6 +98,8 @@ def instrument_system(system: typing.Any) -> None:
             values[("wal.records_flushed", site_id)] = float(stats.records_flushed)
             values[("wal.bytes_flushed", site_id)] = float(stats.bytes_flushed)
             values[("wal.checkpoints", site_id)] = float(stats.checkpoints)
+            values[("wal.checkpoint_bytes", site_id)] = float(stats.checkpoint_bytes)
+            values[("wal.base_folds", site_id)] = float(stats.base_folds)
             values[("wal.replays", site_id)] = float(stats.replays)
             values[("wal.records_replayed", site_id)] = float(stats.records_replayed)
             values[("wal.records_lost_unflushed", site_id)] = float(

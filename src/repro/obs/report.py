@@ -65,6 +65,8 @@ def recovery_timeline(system: typing.Any) -> dict:
             "durable_lsn": wal.log.durable_lsn,
             "checkpoint_lag": wal.checkpoint_lag,
             "checkpoints": wal.stats.checkpoints,
+            "checkpoint_bytes": wal.stats.checkpoint_bytes,
+            "base_folds": wal.stats.base_folds,
             "truncated_records": wal.log.truncated_records,
             "replays": wal.stats.replays,
             "records_replayed": wal.stats.records_replayed,
@@ -179,14 +181,15 @@ def render_recovery_timeline(report: dict) -> str:
             lines.append(f"drain site {site_id}: {points}{suffix}")
     lines.append(
         f"{'site':>4}  {'dur-lsn':>7}  {'ckpt-lag':>8}  {'ckpts':>5}  "
-        f"{'truncated':>9}  {'replays':>7}  {'replayed':>8}  {'lost':>4}  "
-        f"{'shipped':>7}  {'copied':>6}"
+        f"{'bases':>5}  {'ckpt-bytes':>10}  {'truncated':>9}  {'replays':>7}  "
+        f"{'replayed':>8}  {'lost':>4}  {'shipped':>7}  {'copied':>6}"
     )
     for site_id, entry in sorted(report["sites"].items()):
         wal = entry["wal"]
         lines.append(
             f"{site_id:>4}  {wal['durable_lsn']:>7}  {wal['checkpoint_lag']:>8}  "
-            f"{wal['checkpoints']:>5}  {wal['truncated_records']:>9}  "
+            f"{wal['checkpoints']:>5}  {wal['base_folds']:>5}  "
+            f"{wal['checkpoint_bytes']:>10}  {wal['truncated_records']:>9}  "
             f"{wal['replays']:>7}  {wal['records_replayed']:>8}  "
             f"{wal['records_lost_unflushed']:>4}  {wal['records_shipped']:>7}  "
             f"{wal['copies_performed']:>6}"

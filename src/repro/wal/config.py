@@ -15,7 +15,10 @@ class WalConfig:
         Take a fuzzy checkpoint after this many records have been
         group-committed since the last one. Smaller values shorten
         replay at the cost of more checkpoint writes (and of a shorter
-        shippable log tail).
+        shippable log tail). A checkpoint writes only the copies that
+        changed since the last one (a delta), and a full base once the
+        live deltas would outweigh the current base, so its cost
+        follows the dirty data, not the size of the site.
     retain_records:
         How many LSNs of log to keep *behind* the checkpoint when
         truncating. The retained tail is what log-shipping catch-up

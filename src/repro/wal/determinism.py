@@ -3,11 +3,11 @@
 Runs the traced log-shipping recovery scenario twice with the same seed
 and asserts the durable outcome is **byte-identical**: per-site final
 LSNs, the segment directory, the serialized truncation metadata and
-checkpoint blobs, the reconstructed copies (value, version, unreadable
-mark), and the stable session state. Any nondeterminism in the
-journal/replay path — record ordering, fuzzy-checkpoint contents,
-truncation watermarks — shows up as a digest mismatch here long before
-it shows up as a flaky recovery.
+checkpoint blobs (the base and every delta), the reconstructed copies
+(value, version, unreadable mark), and the stable session state. Any
+nondeterminism in the journal/replay path — record ordering,
+fuzzy-checkpoint contents, truncation watermarks — shows up as a digest
+mismatch here long before it shows up as a flaky recovery.
 
 Usage::
 
@@ -44,7 +44,12 @@ def site_durable_state(site: typing.Any) -> dict:
         "truncated_through": wal.log.truncated_through_lsn,
         "segments": list(wal.log.segments),
         "meta_blob": site.stable._blobs.get(META_KEY),
-        "checkpoint_blob": site.stable._blobs.get(CHECKPOINT_KEY),
+        # The base and every delta: together they are the checkpoint.
+        "checkpoint_blobs": sorted(
+            (key, blob)
+            for key, blob in site.stable._blobs.items()
+            if key.startswith(CHECKPOINT_KEY)
+        ),
         "session_last": site.stable.get("session.last"),
         "copies": sorted(
             (name, copy.value, tuple(copy.version), copy.unreadable)

@@ -2,15 +2,18 @@
 
 Layout in the site's :class:`~repro.storage.stable.StableStorage`:
 
-* ``wal.seg.<first>-<last>`` — one *segment* per group commit: the
-  records with LSNs ``first..last``. Every :meth:`flush` is exactly one
-  stable write (the group-commit cost model), and the key names carry
-  the whole segment directory;
+* ``wal.seg.<first>-<last>@<high>`` — one *segment* per group commit:
+  the records with LSNs ``first..last``; ``high`` is the log's durable
+  high-commit watermark once they are durable. Every :meth:`flush` is
+  exactly one stable write (the group-commit cost model), and the key
+  names carry the whole segment directory and the watermark, so a
+  restart unpickles no segment to rebuild either;
 * ``wal.meta`` — truncation state only (watermarks and truncated
   commits), written by :meth:`truncate` once per checkpoint and never
   on the commit path;
-* ``wal.ckpt`` — the last fuzzy checkpoint (written by
-  :class:`~repro.wal.wal.SiteWal`, not here).
+* ``wal.ckpt`` — the checkpoint *base*, a full image, and
+  ``wal.ckpt.delta.<lsn>`` — the incremental checkpoints taken since
+  (written by :class:`~repro.wal.wal.SiteWal`, not here).
 
 Invariants:
 
@@ -35,7 +38,9 @@ from repro.wal.records import LogRecord
 
 META_KEY = "wal.meta"
 SEGMENT_PREFIX = "wal.seg."
+#: The checkpoint base; also the prefix of every checkpoint key.
 CHECKPOINT_KEY = "wal.ckpt"
+DELTA_PREFIX = "wal.ckpt.delta."
 
 #: The :class:`RedoLog` attributes persisted in ``wal.meta``.
 _META_FIELDS = (
@@ -44,8 +49,13 @@ _META_FIELDS = (
 )
 
 
-def _segment_key(first: int, last: int) -> str:
-    return f"{SEGMENT_PREFIX}{first}-{last}"
+def _segment_key(first: int, last: int, high: int) -> str:
+    return f"{SEGMENT_PREFIX}{first}-{last}@{high}"
+
+
+def delta_key(lsn: int) -> str:
+    """The stable key of the incremental checkpoint taken at ``lsn``."""
+    return f"{DELTA_PREFIX}{lsn}"
 
 
 def _write_commits(records: typing.Iterable[LogRecord]) -> list[tuple[str | None, int]]:
@@ -65,8 +75,9 @@ class RedoLog:
         self._buffer: list[LogRecord] = []
         self.next_lsn = 1
         self.durable_lsn = 0
-        #: Segment directory: ``(first_lsn, last_lsn)`` in LSN order.
-        self.segments: list[tuple[int, int]] = []
+        #: Segment directory: ``(first_lsn, last_lsn, high_commit)`` in
+        #: LSN order, exactly what the segment keys carry.
+        self.segments: list[tuple[int, int, int]] = []
         self.truncated_through_lsn = 0
         self.truncated_max_commit = 0
         self.truncated_records = 0
@@ -81,23 +92,25 @@ class RedoLog:
     def load_meta(self) -> None:
         """Re-sync in-memory state from stable storage (restart path).
 
-        Only the high-commit watermark reads segment contents.
+        Reads ``wal.meta`` and the segment key names; no segment blob.
         """
         meta = self.stable.get(META_KEY)
         if meta is not None:  # absent until the first truncation
             for field, value in typing.cast(dict, meta).items():
                 setattr(self, field, value)
-        bounds = (
-            key[len(SEGMENT_PREFIX):].partition("-")
-            for key in self.stable.keys()
-            if key.startswith(SEGMENT_PREFIX)
-        )
-        self.segments = sorted((int(first), int(last)) for first, _, last in bounds)
-        last_lsn = self.segments[-1][1] if self.segments else 0
+        segments = []
+        for key in self.stable.keys():
+            if key.startswith(SEGMENT_PREFIX):
+                lsns, _, high = key[len(SEGMENT_PREFIX):].partition("@")
+                first, _, last = lsns.partition("-")
+                segments.append((int(first), int(last), int(high)))
+        self.segments = sorted(segments)
+        last_lsn = high = 0
+        if self.segments:
+            _first, last_lsn, high = self.segments[-1]
         self.durable_lsn = max(self.truncated_through_lsn, last_lsn)
         self.next_lsn = self.durable_lsn + 1
-        commits = [commit for _, commit in _write_commits(self.records_after(0))]
-        self.high_commit = self._durable_high_commit = max([self.truncated_max_commit, *commits])
+        self.high_commit = self._durable_high_commit = max(self.truncated_max_commit, high)
 
     # -- appending ------------------------------------------------------------
 
@@ -145,9 +158,9 @@ class RedoLog:
         if not self._buffer:
             return 0
         records = tuple(self._buffer)
-        first, last = records[0].lsn, records[-1].lsn
-        self.stable.put(_segment_key(first, last), records)
-        self.segments.append((first, last))
+        first, last, high = records[0].lsn, records[-1].lsn, self.high_commit
+        self.stable.put(_segment_key(first, last, high), records)
+        self.segments.append((first, last, high))
         self.durable_lsn = last
         self._durable_high_commit = self.high_commit
         self._buffer.clear()
@@ -167,10 +180,10 @@ class RedoLog:
 
     def records_after(self, lsn: int) -> typing.Iterator[LogRecord]:
         """Durable records with ``record.lsn > lsn``, in LSN order."""
-        for first, last in self.segments:
+        for first, last, high in self.segments:
             if last <= lsn:
                 continue
-            records = typing.cast(tuple, self.stable.get(_segment_key(first, last), ()))
+            records = typing.cast(tuple, self.stable.get(_segment_key(first, last, high), ()))
             for record in records:
                 if record.lsn > lsn:
                     yield record
@@ -186,12 +199,12 @@ class RedoLog:
         persists the truncation state, even when nothing was dropped.
         """
         dropped = 0
-        keep: list[tuple[int, int]] = []
-        for first, last in self.segments:
+        keep: list[tuple[int, int, int]] = []
+        for first, last, high in self.segments:
             if last > through_lsn:
-                keep.append((first, last))
+                keep.append((first, last, high))
                 continue
-            key = _segment_key(first, last)
+            key = _segment_key(first, last, high)
             records = typing.cast(tuple, self.stable.get(key, ()))
             for item, commit in _write_commits(records):
                 self.truncated_max_commit = max(self.truncated_max_commit, commit)

@@ -9,13 +9,17 @@ and its :class:`~repro.storage.stable.StableStorage`:
   transaction's records become durable in **one** stable segment write
   (group commit);
 * after ``checkpoint_every`` durable records a *fuzzy checkpoint* is
-  taken: the full ``{item → (value, version, unreadable)}`` image plus
-  the stable session state, after which the log is truncated down to
-  the configured retention tail;
+  taken, after which the log is truncated down to the configured
+  retention tail. A checkpoint is one stable put: usually a *delta*
+  (the ``{item → (value, version, unreadable)}`` entries that changed
+  since the last checkpoint, plus a small header: LSN, high-commit
+  watermark, session state, in-doubt prepares, mvcc payload), and a
+  full *base* image once the live deltas plus this one would outweigh
+  the current base (the deltas are then deleted);
 * on power-on, :meth:`restore` rebuilds copies, versions, unreadable
-  marks and session state **purely** from checkpoint + log replay
-  (the in-memory copy store is explicitly reset first — nothing that
-  "magically survived" the crash is consulted).
+  marks and session state **purely** from the base, the deltas after
+  it and log replay (the in-memory copy store is explicitly reset
+  first — nothing that "magically survived" the crash is consulted).
 
 A site whose stable storage holds no checkpoint (never initialised by a
 :class:`~repro.system.DatabaseSystem`, e.g. a bare ``Site`` in a unit
@@ -25,12 +29,14 @@ test) has nothing to rebuild from: restore is a no-op.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import typing
 
 from repro.sanitize import hooks as _san
 from repro.sim.events import Future
 from repro.wal.config import WalConfig
-from repro.wal.log import CHECKPOINT_KEY, RedoLog
+from repro.storage.stable import StableStorage
+from repro.wal.log import CHECKPOINT_KEY, DELTA_PREFIX, RedoLog, delta_key
 from repro.wal.records import LogRecord
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -51,11 +57,37 @@ class WalStats:
     records_flushed: int = 0
     bytes_flushed: int = 0  # serialized bytes of flushed segments
     checkpoints: int = 0
+    checkpoint_bytes: int = 0  # serialized bytes of checkpoint puts
+    base_folds: int = 0  # checkpoints written as a full base image
     replays: int = 0  # restarts that went through checkpoint + replay
     records_replayed: int = 0
     records_lost_unflushed: int = 0  # volatile tail dropped by crashes
     prepares_logged: int = 0  # durable prepare intents (async_quorum)
     in_doubt_restored: int = 0  # prepares re-armed as in-doubt at restore
+
+
+def load_checkpoint(stable: StableStorage) -> tuple[dict | None, list[str]]:
+    """The checkpoint that ``stable`` describes, and its live delta keys.
+
+    Composes the base with every delta above the base LSN, in LSN order:
+    each delta's items overwrite the image, and its header replaces the
+    base's. A delta at or below the base LSN is stale and ignored.
+    Returns ``(None, [])`` when stable storage holds no base.
+    """
+    checkpoint = typing.cast("dict | None", stable.get(CHECKPOINT_KEY))
+    if checkpoint is None:
+        return None, []
+    deltas = sorted(
+        (int(key[len(DELTA_PREFIX):]), key)
+        for key in stable.keys()
+        if key.startswith(DELTA_PREFIX)
+    )
+    keys = [key for lsn, key in deltas if lsn > checkpoint["lsn"]]
+    for key in keys:
+        delta = typing.cast(dict, stable.get(key))
+        checkpoint["items"].update(delta.pop("items"))
+        checkpoint.update(delta)
+    return checkpoint, keys
 
 
 @dataclasses.dataclass
@@ -82,6 +114,12 @@ class SiteWal:
         self._records_since_checkpoint = 0
         self._restoring = False
         self.last_checkpoint_lsn = 0
+        #: The item image the stable checkpoint (base + live deltas)
+        #: describes; the next delta is what differs from it.
+        self._image: dict[str, tuple] = {}
+        #: Keys of the live deltas above the base, in LSN order.
+        self._deltas: list[str] = []
+        self._delta_bytes = 0
         #: Durable knowledge at the last restore: the highest commit
         #: sequence number reconstructible from checkpoint + log. This —
         #: not the current high commit, which post-recovery writes keep
@@ -230,10 +268,16 @@ class SiteWal:
     def checkpoint(self) -> int:
         """Write a fuzzy checkpoint and truncate the log behind it.
 
-        Returns the checkpoint LSN. The image covers every copy (value,
-        version, unreadable mark) plus the stable session state; replay
-        therefore only needs records *after* this LSN. The log keeps a
-        ``retain_records`` tail behind the checkpoint for log-shipping.
+        Returns the checkpoint LSN. Together with the base and the
+        earlier live deltas, it describes every copy (value, version,
+        unreadable mark) plus the stable session state at that LSN;
+        replay therefore only needs records *after* it. It is one put:
+        a delta of the entries that changed since the last checkpoint,
+        or a full base when the live deltas plus this one would exceed
+        the current base's bytes (or when no record became durable
+        since the last checkpoint, which would reuse a delta's key).
+        The log keeps a ``retain_records`` tail behind the checkpoint
+        for log-shipping.
         """
         self.log.flush()  # the image must not predate buffered records
         stable = self.site.stable
@@ -241,36 +285,57 @@ class SiteWal:
         obs = self.site.obs
         if obs.spans_on:
             span = obs.spans.start("wal.checkpoint", "wal", self.site.site_id)
-        items = {
-            name: (copy.value, copy.version, copy.unreadable)
-            for name, copy in (
-                (name, self.site.copies.get(name)) for name in self.site.copies.items()
-            )
-        }
+        copies = self.site.copies
+        image = self._image
+        dirty = {}
+        for name in copies.items():
+            copy = copies.get(name)
+            entry = (copy.value, copy.version, copy.unreadable)
+            if image.get(name) != entry:
+                dirty[name] = entry
+        image.update(dirty)
         checkpoint_lsn = self.log.durable_lsn
-        stable.put(
-            CHECKPOINT_KEY,
-            {
-                "lsn": checkpoint_lsn,
-                "high_commit": self.log.high_commit,
-                "items": items,
-                "session_last": stable.get(_SESSION_KEY, 0),
-                "session_started_at": stable.get(_SESSION_STARTED),
-                # In-doubt prepares survive log truncation through the
-                # image (the flush above made _unresolved exact).
-                "in_doubt": {
-                    txn: tuple(records)
-                    for txn, records in self._unresolved.items()
-                },
-                # Multiversion chain tails + the durable snapshot cut
-                # (repro.mvcc); None when the subsystem is off.
-                "mvcc": (
-                    self.site.mvcc.checkpoint_payload()
-                    if self.site.mvcc is not None
-                    else None
-                ),
+        checkpoint = {
+            "lsn": checkpoint_lsn,
+            "high_commit": self.log.high_commit,
+            "items": dirty,
+            "session_last": stable.get(_SESSION_KEY, 0),
+            "session_started_at": stable.get(_SESSION_STARTED),
+            # In-doubt prepares survive log truncation through the
+            # image (the flush above made _unresolved exact).
+            "in_doubt": {
+                txn: tuple(records)
+                for txn, records in self._unresolved.items()
             },
+            # Multiversion chain tails + the durable snapshot cut
+            # (repro.mvcc); None when the subsystem is off.
+            "mvcc": (
+                self.site.mvcc.checkpoint_payload()
+                if self.site.mvcc is not None
+                else None
+            ),
+        }
+        size = len(pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL))
+        fold = (
+            checkpoint_lsn <= self.last_checkpoint_lsn
+            or self._delta_bytes + size > stable.size_of(CHECKPOINT_KEY)
         )
+        if fold:
+            key = CHECKPOINT_KEY
+            checkpoint["items"] = image
+        else:
+            key = delta_key(checkpoint_lsn)
+        size = stable.put(key, checkpoint)
+        self.stats.checkpoint_bytes += size
+        if fold:
+            for stale in self._deltas:
+                stable.delete(stale)
+            self._deltas = []
+            self._delta_bytes = 0
+            self.stats.base_folds += 1
+        else:
+            self._deltas.append(key)
+            self._delta_bytes += size
         self.last_checkpoint_lsn = checkpoint_lsn
         self.log.truncate(checkpoint_lsn - self.config.retain_records)
         self.stats.checkpoints += 1
@@ -291,14 +356,19 @@ class SiteWal:
     def restore(self) -> RestoreResult | None:
         """Rebuild copies/versions/marks/session from checkpoint + replay.
 
-        Returns None (and touches nothing) when stable storage holds no
-        checkpoint — the site was never initialised through a
-        DatabaseSystem, so there is nothing to rebuild from.
+        The checkpoint is the base composed with its live deltas
+        (:func:`load_checkpoint`). Returns None (and touches nothing)
+        when stable storage holds no checkpoint — the site was never
+        initialised through a DatabaseSystem, so there is nothing to
+        rebuild from.
         """
         stable = self.site.stable
-        checkpoint = typing.cast("dict | None", stable.get(CHECKPOINT_KEY))
+        checkpoint, deltas = load_checkpoint(stable)
         if checkpoint is None:
             return None
+        self._image = checkpoint["items"]
+        self._deltas = deltas
+        self._delta_bytes = sum(stable.size_of(key) for key in deltas)
         obs = self.site.obs
         span = None
         if obs.spans_on:

@@ -14,7 +14,9 @@ from repro.core.nominal import ns_item
 from repro.core.rowaa import RowaaStrategy
 from repro.harness.runner import build_traced_scheme
 from repro.txn.transaction import TxnKind
+from repro.wal import WalConfig
 from repro.wal.log import CHECKPOINT_KEY
+from repro.wal.wal import load_checkpoint
 
 
 def _write(item, value):
@@ -178,19 +180,72 @@ class TestWalCoherence:
         kernel.run(system.submit(1, _write("X", 9)))
         assert auditor.alerts.count(rule="wal.durable_monotonic") >= 1
 
+    @staticmethod
+    def _corrupt_x(stable, key):
+        checkpoint = stable.get(key)
+        value, version, unreadable = checkpoint["items"]["X"]
+        checkpoint["items"]["X"] = (999999, version, unreadable)
+        stable.put(key, checkpoint)  # gets never alias
+
     def test_corrupted_checkpoint_fails_replay_fingerprint(self):
         kernel, system, auditor = _build()
         kernel.run(system.submit(1, _write("X", 7)))
         site = system.cluster.sites[3]
         site.wal.checkpoint()
+        site.wal.checkpoint()  # nothing new since: a base at the same LSN
+        assert load_checkpoint(site.stable)[1] == []  # X's image is the base's
         system.crash(3)
-        checkpoint = site.stable.get(CHECKPOINT_KEY)
-        value, version, unreadable = checkpoint["items"]["X"]
-        checkpoint["items"]["X"] = (999999, version, unreadable)
-        site.stable.put(CHECKPOINT_KEY, checkpoint)  # gets never alias
+        self._corrupt_x(site.stable, CHECKPOINT_KEY)
         system.power_on(3)
         assert auditor.alerts.count(rule="wal.replay_fingerprint") == 1
         kernel.run(until=kernel.now + 60)  # let the recovery drain
+
+    def test_corrupted_delta_fails_replay_fingerprint(self):
+        kernel, system, auditor = _build()
+        kernel.run(system.submit(1, _write("X", 7)))
+        site = system.cluster.sites[3]
+        site.wal.checkpoint()
+        _checkpoint, deltas = load_checkpoint(site.stable)
+        assert len(deltas) == 1  # X's latest image is in this delta only
+        system.crash(3)
+        self._corrupt_x(site.stable, deltas[0])
+        system.power_on(3)
+        assert auditor.alerts.count(rule="wal.replay_fingerprint") == 1
+        kernel.run(until=kernel.now + 60)
+
+    def test_stale_delta_below_the_base_is_ignored(self):
+        kernel, system, auditor = _build()
+        kernel.run(system.submit(1, _write("X", 7)))
+        site = system.cluster.sites[3]
+        site.wal.checkpoint()
+        (stale,) = load_checkpoint(site.stable)[1]
+        left_behind = site.stable.get(stale)
+        site.wal.checkpoint()  # folds: a base at the delta's LSN
+        assert stale not in site.stable
+        left_behind["items"]["X"] = (999999, *left_behind["items"]["X"][1:])
+        site.stable.put(stale, left_behind)
+        system.crash(3)
+        system.power_on(3)
+        assert system.copy_value(3, "X") == 7
+        kernel.run(until=kernel.now + 60)
+        assert auditor.alerts.count(rule="wal.replay_fingerprint") == 0
+        assert not auditor.alerts.has_critical
+
+    def test_clean_recovery_through_a_delta_fingerprint_silent(self):
+        # No log is retained behind the checkpoint: X's new image is in
+        # the delta only, so the mirror must compose it too.
+        kernel, system, auditor = _build(wal_config=WalConfig(retain_records=0))
+        kernel.run(system.submit(1, _write("X", 7)))
+        site = system.cluster.sites[3]
+        site.wal.checkpoint()
+        assert len(load_checkpoint(site.stable)[1]) == 1
+        assert list(site.wal.log.records_after(0)) == []
+        system.crash(3)
+        system.power_on(3)
+        kernel.run(until=kernel.now + 120)
+        assert system.copy_value(3, "X") == 7
+        assert auditor.alerts.count(rule="wal.replay_fingerprint") == 0
+        assert not auditor.alerts.has_critical
 
     def test_clean_crash_recovery_fingerprint_silent(self):
         kernel, system, auditor = _build()

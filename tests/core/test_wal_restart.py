@@ -13,16 +13,21 @@ import pytest
 from repro.baselines.spooler import SpoolerSystem
 from repro.baselines.systems import DirectorySystem
 from repro.core import RowaaConfig, RowaaSystem
+from repro.mvcc import MultiVersionStore
 from repro.net import ConstantLatency
 from repro.sim import Kernel
 from repro.storage.copies import Version
+from repro.storage.stable import StableStorage
 from repro.txn import TxnConfig
 from repro.wal import SiteWal, WalConfig
 from repro.wal.log import CHECKPOINT_KEY
+from repro.wal.wal import load_checkpoint
 from tests.core.conftest import write_program
 
 
-def build_wal_system(seed=11, wal_config=None, rowaa_config=None, items=None):
+def build_wal_system(
+    seed=11, wal_config=None, rowaa_config=None, items=None, txn_config=None
+):
     kernel = Kernel(seed=seed)
     system = RowaaSystem(
         kernel,
@@ -30,7 +35,7 @@ def build_wal_system(seed=11, wal_config=None, rowaa_config=None, items=None):
         items=items if items is not None else {"X": 0, "Y": 0, "Z": 0},
         latency=ConstantLatency(1.0),
         rowaa_config=rowaa_config if rowaa_config is not None else RowaaConfig(),
-        config=TxnConfig(rpc_timeout=30.0),
+        config=txn_config if txn_config is not None else TxnConfig(rpc_timeout=30.0),
         wal_config=wal_config,
     )
     system.boot()
@@ -137,3 +142,93 @@ class TestRestartByReplay:
         # Replay touched only the post-checkpoint suffix, not the epoch.
         assert site.wal.stats.records_replayed <= site.wal.config.checkpoint_every + 16
         assert system.copy_value(1, "X") == 29
+
+
+def _full_mvcc_payload(store):
+    """Every chain record, the image's version included."""
+    return {
+        "cut": store.stale_cut,
+        "chains": [
+            (
+                item,
+                [
+                    (rec.version.ts, rec.version.commit, rec.version.seq, rec.value)
+                    for rec in store.chain(item).records
+                ],
+            )
+            for item in sorted(store._chains)
+        ],
+    }
+
+
+class TestIncrementalCheckpoints:
+    """A restore from a base plus deltas rebuilds exactly what a restore
+    from one full image (every chain record included) rebuilds."""
+
+    @staticmethod
+    def _restored_states():
+        kernel, system = build_wal_system(
+            seed=16,
+            wal_config=WalConfig(checkpoint_every=4, retain_records=8),
+            # Mostly clean items, so several deltas build up on a base.
+            items={f"X{i}": 0 for i in range(40)} | {"Y": 0},
+            txn_config=TxnConfig(rpc_timeout=20.0, commit_mode="async_quorum"),
+        )
+        states = []
+
+        def capture(site):
+            copies, wal = site.copies, site.wal
+            states.append((
+                site.site_id,
+                kernel.now,
+                len(load_checkpoint(site.stable)[1]),
+                [
+                    (name, copy.value, copy.version, copy.unreadable)
+                    for name, copy in ((name, copies.get(name)) for name in copies.items())
+                ],
+                site.stable.get("session.last"),
+                site.stable.get("session.started_at"),
+                sorted(wal.unresolved_prepares().items()),
+                wal.restore_high_commit,
+                site.mvcc.digest_state(),
+            ))
+
+        for site_id in system.cluster.site_ids:
+            site = system.cluster.site(site_id)
+            site.power_on_hooks.append(functools.partial(capture, site))
+
+        def stalls(ctx):
+            yield from ctx.write("Y", -1)  # prepared everywhere, undecided
+            yield kernel.timeout(60)  # past the crash, before the restore
+
+        value = 0
+        for crashed, up in ((3, (1, 2)), (2, (1, 3)), (3, (1, 2)), (1, (2, 3))):
+            for _ in range(5):
+                for home in up:
+                    value += 1
+                    kernel.run(system.submit(home, write_program(f"X{value % 12}", value)))
+            if crashed == 3 and value < 20:
+                system.submit(1, stalls)
+                kernel.run(until=kernel.now + 10)
+            system.crash(crashed)
+            kernel.run(until=kernel.now + 40)
+            kernel.run(system.power_on(crashed))
+            kernel.run(until=kernel.now + 150)
+        system.stop()
+        return states
+
+    def test_base_plus_deltas_restores_what_one_full_image_restores(self, monkeypatch):
+        incremental = self._restored_states()
+        with monkeypatch.context() as patch:
+            # Every checkpoint a full base, carrying every chain record.
+            patch.setattr(StableStorage, "size_of", lambda self, key: 0)
+            patch.setattr(MultiVersionStore, "checkpoint_payload", _full_mvcc_payload)
+            full = self._restored_states()
+        assert len(incremental) == 4
+        # The incremental run restored through deltas; the full one never.
+        assert any(deltas for _s, _t, deltas, *_rest in incremental)
+        assert not any(deltas for _s, _t, deltas, *_rest in full)
+        # Including in-doubt prepares re-armed at restore.
+        assert any(prepares for *_head, prepares, _h, _m in incremental)
+        strip = [(site, now, *rest) for site, now, _deltas, *rest in incremental]
+        assert strip == [(site, now, *rest) for site, now, _deltas, *rest in full]

@@ -162,12 +162,33 @@ class TestCheckpointPayload:
         kernel.run(system.submit(1, _write("X", 2)))
         payload = store.checkpoint_payload()
         before = store.digest_state()
-        # A fresh store image: reset clears chains (the restore path),
-        # then the payload merge rebuilds them.
+        # A fresh store image, as the restore path builds it: reset
+        # clears chains, the checkpoint image is installed, then the
+        # payload merge rebuilds the older versions.
+        copies = system.cluster.site(1).copies
         store._on_copy_event("reset", None, None, None)
+        for item in copies.items():
+            copy = copies.get(item)
+            store._on_copy_event("install", item, copy.value, copy.version)
         system.cluster.site(1).last_crash_time = None
         store.on_restore(payload)
         assert store.digest_state() == before
+
+    def test_payload_leaves_out_what_the_image_carries(self):
+        kernel, system = _build()
+        store = system.mvcc[1]
+        kernel.run(system.submit(1, _write("X", 1)))
+        kernel.run(system.submit(1, _write("X", 2)))
+        copies = system.cluster.site(1).copies
+        chains = dict(store.checkpoint_payload()["chains"])
+        # X keeps its two older versions, not the one its copy holds;
+        # an item with one version has nothing left to carry.
+        assert [value for *_version, value in chains["X"]] == [0, 1]
+        assert len(store.chain("X")) == 3
+        for item, records in chains.items():
+            image = version_key(copies.get(item).version)
+            assert all((ts, commit) != image for ts, commit, _seq, _v in records)
+        assert set(chains) == {"X"}
 
 
 def test_chain_hook_costs_the_same_per_applied_write():

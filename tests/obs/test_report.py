@@ -64,3 +64,12 @@ class TestRecoveryTimeline:
         assert "recovery timeline" in text
         assert "drain site" in text
         assert "mean_mttr" in text
+
+    def test_wal_health_shows_checkpoint_cost(self, e2_run):
+        system, _summary, report = e2_run
+        text = render_recovery_timeline(report)
+        assert "bases  ckpt-bytes" in text
+        for site_id, entry in report["sites"].items():
+            stats = system.cluster.site(site_id).wal.stats
+            assert entry["wal"]["checkpoint_bytes"] == stats.checkpoint_bytes > 0
+            assert entry["wal"]["base_folds"] == stats.base_folds >= 1

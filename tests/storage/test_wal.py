@@ -6,7 +6,9 @@ from repro.site import Site
 from repro.storage.copies import Version
 from repro.storage.stable import StableStorage
 from repro.wal import RedoLog, SiteWal, WalConfig
-from repro.wal.log import CHECKPOINT_KEY, META_KEY, SEGMENT_PREFIX
+from repro.wal.determinism import site_durable_state
+from repro.wal.log import CHECKPOINT_KEY, META_KEY, SEGMENT_PREFIX, delta_key
+from repro.wal.wal import load_checkpoint
 
 
 def v(commit, ts=None):
@@ -107,8 +109,9 @@ class TestRedoLog:
         log.append("write", item="X", value=3, version=v(3))
         log.discard_unflushed()
         assert META_KEY not in stable
+        # Each key names its LSN range and the durable high commit.
         assert sorted(k for k in stable.keys() if k.startswith(SEGMENT_PREFIX)) == [
-            f"{SEGMENT_PREFIX}1-1", f"{SEGMENT_PREFIX}2-2",
+            f"{SEGMENT_PREFIX}1-1@1", f"{SEGMENT_PREFIX}2-2@2",
         ]
 
     def test_truncate_persists_meta_even_when_nothing_dropped(self):
@@ -272,7 +275,7 @@ class TestSiteWal:
         assert site.wal.restore_high_commit == 1
         site.wal.checkpoint()
         # The log-ship anchor must not claim the commit the crash lost.
-        assert site.stable.get(CHECKPOINT_KEY)["high_commit"] == 1
+        assert load_checkpoint(site.stable)[0]["high_commit"] == 1
 
     def test_checkpoint_key_layout(self):
         site = make_site()
@@ -284,3 +287,36 @@ class TestSiteWal:
         assert checkpoint["lsn"] == site.wal.log.durable_lsn
         assert checkpoint["items"]["X"] == (1, v(1), False)
         assert site.stable.get(META_KEY) is not None
+
+    def test_later_checkpoints_are_deltas_of_what_changed(self):
+        site = make_site()
+        for i in range(20):
+            site.copies.create(f"X{i}", 0)
+        site.wal.checkpoint()  # the first checkpoint is a base
+        site.copies.apply_write("X0", 5, v(5))
+        site.wal.on_commit()
+        site.wal.checkpoint()
+        lsn = site.wal.log.durable_lsn
+        delta = site.stable.get(delta_key(lsn))
+        assert delta["lsn"] == lsn
+        assert delta["items"] == {"X0": (5, v(5), False)}
+        assert site.stable.get(CHECKPOINT_KEY)["items"]["X0"] == (0, Version.initial(), False)
+        assert load_checkpoint(site.stable)[0]["items"]["X0"] == (5, v(5), False)
+        assert (site.wal.stats.checkpoints, site.wal.stats.base_folds) == (2, 1)
+
+    def test_durable_state_digests_the_base_and_every_delta(self):
+        site = make_site()
+        for name in ("X", "Y", "Z"):
+            site.copies.create(name, 0)
+        site.wal.checkpoint()
+        site.copies.apply_write("X", 1, v(1))
+        site.wal.on_commit()
+        site.wal.checkpoint()
+        _checkpoint, deltas = load_checkpoint(site.stable)
+        state = site_durable_state(site)
+        assert [key for key, _blob in state["checkpoint_blobs"]] == [CHECKPOINT_KEY, *deltas]
+        assert len(deltas) == 1
+        delta = site.stable.get(deltas[0])
+        delta["items"]["X"] = (2, v(1), False)
+        site.stable.put(deltas[0], delta)
+        assert site_durable_state(site) != state
