@@ -75,8 +75,8 @@ import hashlib
 import typing
 
 from repro.audit.alerts import Alert, AlertLog
-from repro.audit.onestg import OnlineOneStg
 from repro.core.nominal import db_item_filter, is_ns_item, ns_site
+from repro.histories import OnlineOneStg
 from repro.txn.transaction import Transaction, TxnKind, TxnStatus
 from repro.wal.log import CHECKPOINT_KEY, DELTA_PREFIX
 
@@ -105,7 +105,9 @@ class AuditConfig:
 
 
 def _vkey(version: "Version") -> tuple[float, int]:
-    """Version order: the (ts, commit) pair (see ``logical_write_order``)."""
+    """Version order: the (ts, commit) pair. Commit numbers are unique,
+    so this is the order :class:`~repro.histories.OnlineOneStg` keeps
+    writers in (its trailing writer-seq tie-break never decides)."""
     return (version.ts, version.commit)
 
 

@@ -3,13 +3,17 @@
 Checking one-serializability exactly is NP-complete in general, so the
 checker is layered:
 
-1. :func:`check_sr` — conflict-graph acyclicity: exact for the class of
-   schedulers we run (strict 2PL produces DSR histories).
-2. :func:`check_one_sr` — first tries the candidate 1-STG (acyclic ⇒
-   1-SR by the §4 Corollary); if cyclic and the history is small enough,
-   falls back to an exhaustive one-copy serial-order search that is exact
-   (simulating the one-copy database and backtracking); otherwise the
-   verdict is ``ok=False, method="1stg-cycle-unverified"``.
+1. :func:`check_sr` — acyclicity of the linear conflict graph
+   (:func:`~repro.histories.graphs.linear_conflict_graph`): exact for
+   the class of schedulers we run (strict 2PL produces DSR histories).
+2. :func:`check_one_sr` — pumps the recorded history once through the
+   1-STG engine (:class:`~repro.histories.graphs.OnlineOneStg`, the one
+   the online auditor runs) and tests the whole graph for a cycle
+   (acyclic ⇒ 1-SR by the §4 Corollary); if cyclic and the history is
+   small enough, falls back to an exhaustive one-copy serial-order
+   search over the engine's READ-FROM and write-order state that is
+   exact (simulating the one-copy database and backtracking); otherwise
+   the verdict is ``ok=False, method="1stg-cycle-unverified"``.
 
 The exhaustive search also enforces final-state equivalence (the
 augmented history's final transaction, §4): the last writer of each item
@@ -22,13 +26,7 @@ import dataclasses
 
 import networkx
 
-from repro.histories.graphs import (
-    ItemFilter,
-    build_conflict_graph,
-    build_one_stg,
-    logical_write_order,
-    read_from_pairs,
-)
+from repro.histories.graphs import ItemFilter, OnlineOneStg, linear_conflict_graph
 from repro.histories.recorder import INITIAL_TXN, HistoryRecorder
 
 
@@ -51,10 +49,8 @@ def check_sr(
     recorder: HistoryRecorder, item_filter: ItemFilter | None = None
 ) -> CheckResult:
     """Serializability of the physical history via CG acyclicity."""
-    graph = build_conflict_graph(recorder, item_filter)
-    try:
-        cycle = networkx.find_cycle(graph)
-    except networkx.NetworkXNoCycle:
+    cycle = _find_cycle(linear_conflict_graph(recorder, item_filter))
+    if cycle is None:
         return CheckResult(ok=True, method="cg-acyclic")
     return CheckResult(ok=False, method="cg-cycle", detail=str(cycle))
 
@@ -76,21 +72,33 @@ def check_one_sr(
     exhaustive_limit: int = 12,
 ) -> CheckResult:
     """One-serializability of the logical history."""
-    candidate = build_one_stg(recorder, item_filter)
-    try:
-        cycle = networkx.find_cycle(candidate)
-    except networkx.NetworkXNoCycle:
+    stg = OnlineOneStg(recorder, item_filter)
+    stg.advance()
+    # One whole-graph test: the online per-touched-source loop would
+    # cost O(txns · reach) on a finished history.
+    cycle = _find_cycle(stg.graph)
+    if cycle is None:
         return CheckResult(ok=True, method="1stg-acyclic")
 
-    txns = _one_copy_txns(recorder, item_filter)
-    if len(txns) <= exhaustive_limit:
-        order = _search_serial_order(recorder, item_filter)
+    if len(_one_copy_txns(recorder, item_filter)) <= exhaustive_limit:
+        order = _search_serial_order(stg)
         if order is not None:
             return CheckResult(
                 ok=True, method="exhaustive-found-order", detail=" < ".join(order)
             )
         return CheckResult(ok=False, method="exhaustive-no-order", detail=str(cycle))
     return CheckResult(ok=False, method="1stg-cycle-unverified", detail=str(cycle))
+
+
+def _find_cycle(graph: networkx.DiGraph) -> list | None:
+    """A cycle of ``graph``, or ``None`` if it is acyclic.
+
+    The topological-sort test costs a small fraction of ``find_cycle``'s
+    edge DFS on an acyclic graph, so the DFS runs only to name a cycle.
+    """
+    if networkx.is_directed_acyclic_graph(graph):
+        return None
+    return networkx.find_cycle(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -113,22 +121,24 @@ def _one_copy_txns(
     return txns
 
 
-def _search_serial_order(
-    recorder: HistoryRecorder, item_filter: ItemFilter | None
-) -> list[str] | None:
+def _search_serial_order(stg: OnlineOneStg) -> list[str] | None:
     """Find a one-copy serial order equivalent to the history, if any.
 
     Simulates the one-copy database: place transactions one at a time; a
     transaction may be placed only if every item it read currently has
     the writer it actually read from as the last writer. Final-state
     equivalence is enforced at the end. Memoizes failed frontier states.
+    READ-FROM and the write order come from a fully advanced engine.
     """
-    txns = _one_copy_txns(recorder, item_filter)
-    reads: dict[str, dict[str, str]] = {txn: {} for txn in txns}
-    for writer, item, reader in read_from_pairs(recorder, item_filter):
-        if reader in reads:
-            reads[reader][item] = writer
-    write_order = logical_write_order(recorder, item_filter)
+    txns = _one_copy_txns(stg.recorder, stg.item_filter)
+    # Every (item, writer) a transaction read from: one that read an item
+    # from two writers can never be placed.
+    reads: dict[str, list[tuple[str, str]]] = {txn: [] for txn in txns}
+    for (item, writer), readers in stg._readers.items():
+        for reader in readers:
+            if reader in reads:
+                reads[reader].append((item, writer))
+    write_order = stg._order_txns
     writes: dict[str, set[str]] = {txn: set() for txn in txns}
     final_writer: dict[str, str] = {}
     for item, writers in write_order.items():
@@ -155,7 +165,7 @@ def _search_serial_order(
         for txn in sorted(remaining):
             if any(
                 last_writer_now.get(item, INITIAL_TXN) != writer
-                for item, writer in reads[txn].items()
+                for item, writer in reads[txn]
             ):
                 continue
             overwritten = {

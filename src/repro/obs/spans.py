@@ -8,9 +8,10 @@ and the serving site opens a child span under it — that is how remote DM
 work is attributed to the originating transaction.
 
 An :class:`Instant` is a zero-duration timeline event (site crash,
-power-on, operational announcement, transaction finish); the
-:class:`~repro.harness.trace.SystemTracer` compatibility shim is a view
-over the instant stream.
+power-on, operational announcement, transaction finish). Readers filter
+:attr:`SpanRecorder.instants` directly (``examples/operations_dashboard.py``
+prints it as an incident timeline); the exporters emit it alongside the
+spans.
 
 Cost model: recording is opt-in twice over. ``enabled`` gates spans,
 ``timeline_on`` gates instants, and every instrumentation hook checks its

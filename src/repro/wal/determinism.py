@@ -1,7 +1,8 @@
 """Crash-replay determinism check (CI gate).
 
-Runs the traced log-shipping recovery scenario twice with the same seed
-and asserts the durable outcome is **byte-identical**: per-site final
+Runs two log-shipping recoveries twice with the same seed — the traced
+scenario and E9's truncating cell, which checkpoints every four commits
+— and asserts the durable outcome is **byte-identical**: per-site final
 LSNs, the segment directory, the serialized truncation metadata and
 checkpoint blobs (the base and every delta), the reconstructed copies
 (value, version, unreadable mark), and the stable session state. Any
@@ -63,18 +64,33 @@ def site_durable_state(site: typing.Any) -> dict:
     }
 
 
-def run_digest(seed: int) -> tuple[str, dict]:
-    """One scenario run -> (hex digest, per-site summary for diagnostics)."""
-    from repro.harness.experiments.e9_catchup import traced_scenario
-
-    _kernel, system, _obs, summary = traced_scenario(seed)
-    state = {
+def _durable_states(system: typing.Any) -> dict:
+    return {
         site_id: site_durable_state(system.cluster.site(site_id))
         for site_id in system.cluster.site_ids
     }
+
+
+def run_digest(seed: int) -> tuple[str, dict]:
+    """One scenario run -> (hex digest, per-site summary for diagnostics).
+
+    Two recoveries are digested: the traced log-shipping scenario, and
+    E9's truncating grid cell (``checkpoint_every=4, retain_records=0``),
+    whose sites take several checkpoints each — base folds, live deltas
+    and log truncation — so the checkpoint path is covered too.
+    """
+    from repro.harness.experiments.e9_catchup import _run_outage, traced_scenario
+
+    _kernel, system, _obs, summary = traced_scenario(seed)
+    truncating = _run_outage(seed, 3, 12, 12, "log_ship", True)[1]
+    state = {
+        "traced": _durable_states(system),
+        "truncating": _durable_states(truncating),
+    }
     blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     lsns = {
-        site_id: entry["durable_lsn"] for site_id, entry in state.items()
+        run: {site_id: entry["durable_lsn"] for site_id, entry in sites.items()}
+        for run, sites in state.items()
     }
     return hashlib.sha256(blob).hexdigest(), {"summary": summary, "lsns": lsns}
 

@@ -1,6 +1,7 @@
-"""Unit tests for the incremental online 1-STG (hand-fed histories)."""
+"""Unit tests for the incremental 1-STG engine the auditor pumps online
+(hand-fed histories)."""
 
-from repro.audit import OnlineOneStg
+from repro.histories import OnlineOneStg
 from repro.histories.recorder import INITIAL_TXN, HistoryRecorder
 
 
@@ -102,3 +103,30 @@ class TestIncrementalGraph:
         assert stg.graph.has_edge("W@2", "B@3")
         assert stg.graph.has_edge("A@1", "B@3")  # kept, transitively implied
         assert not stg.cycle_found
+
+    def test_item_filter_scopes_graph(self):
+        rec = HistoryRecorder()
+        stg = OnlineOneStg(rec, item_filter=lambda item: item == "X")
+        rec.record_write(1.0, "T1@1", 1, "user", "X", 1, 1, 10.0, 1)
+        rec.record_write(1.0, "T2@1", 2, "user", "NS[1]", 1, 2, 11.0, 2)
+        rec.mark_committed("T1@1")
+        rec.mark_committed("T2@1")
+        stg.pump()
+        assert stg.graph.has_node("T1@1")
+        assert not stg.graph.has_node("T2@1")
+        assert stg.stats["ops_observed"] == 2
+
+    def test_advance_feeds_without_checking(self):
+        rec = HistoryRecorder()
+        cycles = []
+        stg = _stg(rec, cycles)
+        rec.record_read(1.0, "T1@1", 1, "user", "X", 1, 0)
+        rec.record_read(1.0, "T2@2", 2, "user", "Y", 2, 0)
+        rec.record_write(2.0, "T1@1", 1, "user", "Y", 2, 1, 10.0, 1)
+        rec.record_write(2.0, "T2@2", 2, "user", "X", 1, 2, 11.0, 2)
+        rec.mark_committed("T1@1")
+        rec.mark_committed("T2@2")
+        assert stg.advance() == {"T1@1", "T2@2"}
+        assert stg.graph.has_edge("T1@1", "T2@2")
+        assert stg.graph.has_edge("T2@2", "T1@1")
+        assert not stg.cycle_found and cycles == []

@@ -4,10 +4,10 @@ import pytest
 
 from repro.histories import (
     HistoryRecorder,
-    build_conflict_graph,
-    build_one_stg,
+    OnlineOneStg,
     check_one_sr,
     check_sr,
+    linear_conflict_graph,
 )
 from repro.histories.checker import _search_serial_order, check_theorem3
 
@@ -15,6 +15,13 @@ from repro.histories.checker import _search_serial_order, check_theorem3
 def commit_all(recorder, *txns):
     for txn in txns:
         recorder.mark_committed(txn)
+
+
+def one_stg(recorder, item_filter=None):
+    """The 1-STG engine fed once over a finished history."""
+    stg = OnlineOneStg(recorder, item_filter)
+    stg.advance()
+    return stg
 
 
 class TestConflictGraph:
@@ -26,7 +33,7 @@ class TestConflictGraph:
         recorder.record_write(4.0, "T2@1", 2, "user", "X", 1, 2)
         commit_all(recorder, "T1@1", "T2@1")
         assert check_sr(recorder).ok
-        graph = build_conflict_graph(recorder)
+        graph = linear_conflict_graph(recorder)
         assert graph.has_edge("T1@1", "T2@1")
         assert not graph.has_edge("T2@1", "T1@1")
 
@@ -57,7 +64,7 @@ class TestConflictGraph:
         recorder.record_read(1.0, "T1@1", 1, "user", "NS[1]", 1, 0)
         recorder.record_write(2.0, "T1@1", 1, "user", "X", 1, 1)
         commit_all(recorder, "T1@1")
-        graph = build_conflict_graph(recorder, item_filter=lambda i: i == "X")
+        graph = linear_conflict_graph(recorder, item_filter=lambda i: i == "X")
         assert list(graph.nodes) == ["T1@1"]
 
 
@@ -86,7 +93,7 @@ class TestPaperCounterExample:
     def test_candidate_one_stg_is_cyclic(self, recorder):
         import networkx
 
-        graph = build_one_stg(recorder)
+        graph = one_stg(recorder).graph
         assert not networkx.is_directed_acyclic_graph(graph)
 
     def test_not_one_sr_exhaustively(self, recorder):
@@ -95,7 +102,7 @@ class TestPaperCounterExample:
         assert result.method == "exhaustive-no-order"
 
     def test_no_serial_order_exists(self, recorder):
-        assert _search_serial_order(recorder, None) is None
+        assert _search_serial_order(one_stg(recorder)) is None
 
 
 class TestCopierSemantics:
@@ -114,7 +121,7 @@ class TestCopierSemantics:
         commit_all(recorder, "T1@1", "P5@3", "T2@3")
         result = check_one_sr(recorder)
         assert result.ok
-        graph = build_one_stg(recorder)
+        graph = one_stg(recorder).graph
         assert graph.has_edge("T1@1", "T2@3")  # READ-FROM through the copier
         assert "P5@3" not in graph.nodes  # copiers vanish from the 1C history
 
@@ -169,7 +176,7 @@ class TestExhaustiveSearch:
         recorder.record_write(1.0, "T1@1", 1, "user", "X", 1, 1)
         recorder.record_write(2.0, "T2@1", 2, "user", "X", 1, 2)
         commit_all(recorder, "T1@1", "T2@1")
-        order = _search_serial_order(recorder, None)
+        order = _search_serial_order(one_stg(recorder))
         assert order == ["T1@1", "T2@1"]  # T2 must be last
 
     def test_theorem3_invariant_alias(self):

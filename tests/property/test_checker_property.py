@@ -15,10 +15,9 @@ import itertools
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.histories import HistoryRecorder, check_one_sr
+from repro.histories import HistoryRecorder, OnlineOneStg, check_one_sr
 from repro.histories.checker import _search_serial_order
-from repro.histories.graphs import logical_write_order, read_from_pairs
-from repro.histories.recorder import INITIAL_TXN
+from repro.histories.recorder import INITIAL_TXN, OpType
 
 ITEMS = ["X", "Y", "Z"]
 SITES = [1, 2, 3]
@@ -70,15 +69,30 @@ def test_serial_executions_are_one_sr(recorder):
 
 
 def brute_force_one_sr(recorder) -> bool:
-    """Reference: try every permutation of committed non-copier txns."""
-    txns = sorted(
-        {op.txn_id for op in recorder.committed_ops() if op.kind != "copier"}
-    )
-    reads = {txn: {} for txn in txns}
-    for writer, item, reader in read_from_pairs(recorder):
-        if reader in reads:
-            reads[reader][item] = writer
-    order = logical_write_order(recorder)
+    """Reference: try every permutation of committed non-copier txns.
+
+    READ-FROM and the version order are derived from ``recorder.ops``
+    here, so the reference shares no code with the checker's engine.
+    """
+    ops = [op for op in recorder.ops if op.txn_id in recorder.committed]
+    txns = sorted({op.txn_id for op in ops if op.kind != "copier"})
+    original = {0: INITIAL_TXN}
+    versions: dict[str, dict[tuple, str]] = {}
+    for op in ops:
+        if op.op is OpType.WRITE and op.version_seq == op.txn_seq:
+            original[op.txn_seq] = op.txn_id
+            if op.kind != "copier":
+                versions.setdefault(op.item, {})[op.version_key] = op.txn_id
+    reads = {txn: set() for txn in txns}
+    for op in ops:
+        if op.op is OpType.READ and op.txn_id in reads:
+            writer = original[op.version_seq]
+            if writer != op.txn_id:
+                reads[op.txn_id].add((op.item, writer))
+    order = {
+        item: [INITIAL_TXN] + [by_key[key] for key in sorted(by_key)]
+        for item, by_key in versions.items()
+    }
     writes = {txn: set() for txn in txns}
     final = {}
     for item, writers in order.items():
@@ -90,7 +104,7 @@ def brute_force_one_sr(recorder) -> bool:
         state = {item: INITIAL_TXN for item in order}
         ok = True
         for txn in perm:
-            for item, writer in reads[txn].items():
+            for item, writer in reads[txn]:
                 if state.get(item, INITIAL_TXN) != writer:
                     ok = False
                     break
@@ -139,7 +153,9 @@ def arbitrary_small_histories(draw):
 @settings(max_examples=150, deadline=None)
 def test_exhaustive_checker_matches_brute_force(recorder):
     expected = brute_force_one_sr(recorder)
-    actual = _search_serial_order(recorder, None) is not None
+    stg = OnlineOneStg(recorder)
+    stg.advance()
+    actual = _search_serial_order(stg) is not None
     assert actual == expected
     # And the layered checker never *rejects* a 1-SR history:
     if expected:

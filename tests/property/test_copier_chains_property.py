@@ -15,8 +15,7 @@ import itertools
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.histories import HistoryRecorder, check_one_sr
-from repro.histories.graphs import build_one_stg, read_from_pairs
+from repro.histories import HistoryRecorder, OnlineOneStg, check_one_sr
 
 SITES = [1, 2, 3, 4]
 
@@ -69,17 +68,19 @@ def copier_chain_histories(draw):
     return recorder, f"T{writer_seq}@1", reader
 
 
+def one_stg(recorder):
+    stg = OnlineOneStg(recorder)
+    stg.advance()
+    return stg
+
+
 @given(data=copier_chain_histories())
 @settings(max_examples=100, deadline=None)
 def test_provenance_resolves_through_chains(data):
     recorder, writer, reader = data
-    pairs = read_from_pairs(recorder)
-    user_pairs = {
-        (w, item, r)
-        for (w, item, r) in pairs
-        if recorder.kinds.get(r) != "copier"
-    }
-    assert (writer, "X", reader) in user_pairs
+    stg = one_stg(recorder)
+    assert stg._readers == {("X", writer): {reader}}
+    assert stg.graph.has_edge(writer, reader)
 
 
 @given(data=copier_chain_histories())
@@ -93,5 +94,5 @@ def test_chain_histories_are_one_sr(data):
 @settings(max_examples=100, deadline=None)
 def test_copiers_absent_from_one_copy_graph(data):
     recorder, _writer, _reader = data
-    graph = build_one_stg(recorder)
+    graph = one_stg(recorder).graph
     assert not any(node.startswith("P") for node in graph.nodes)

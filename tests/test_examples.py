@@ -50,3 +50,12 @@ def test_partition_demo_outcomes(capsys):
     out = run_example("partition_demo.py", capsys)
     assert "aborted: rpc-timeout" in out  # ROWAA blocked, safe
     assert "consistent, no recovery needed" in out
+
+
+def test_operations_dashboard_timeline(capsys):
+    out = run_example("operations_dashboard.py", capsys)
+    timeline = out.split("=== post-mortem report ===")[0]
+    assert "site 3: site/crash" in timeline
+    assert "site 4: site/power-on" in timeline
+    assert "control/commit" in timeline
+    assert "txn/" not in timeline  # user transactions filtered out
